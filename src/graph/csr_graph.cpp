@@ -64,16 +64,27 @@ void CsrGraph::validate() const {
   NBWP_REQUIRE(row_ptr_.front() == 0, "graph csr: row_ptr must start at 0");
   NBWP_REQUIRE(row_ptr_.back() == adj_.size(),
                "graph csr: row_ptr must end at the adjacency size");
-  for (Vertex v = 0; v < n_; ++v) {
+  // Monotone from 0 to the adjacency size keeps every list in bounds
+  // before any is read.
+  for (Vertex v = 0; v < n_; ++v)
     NBWP_REQUIRE(row_ptr_[v] <= row_ptr_[v + 1],
                  "graph csr: row_ptr must be monotone non-decreasing");
-    for (uint64_t i = row_ptr_[v]; i < row_ptr_[v + 1]; ++i) {
-      NBWP_REQUIRE(adj_[i] < n_, "graph csr: neighbor id out of range");
-      NBWP_REQUIRE(adj_[i] != v, "graph csr: self-loop");
-      NBWP_REQUIRE(i == row_ptr_[v] || adj_[i - 1] < adj_[i],
+  // Symmetry in one linear pass.  Visiting u in ascending order, the arcs
+  // into v arrive in ascending u, so with sorted duplicate-free lists arc
+  // (u, v) must match the next unmatched entry of v's list.  Each match
+  // uses one entry and there are as many arcs as entries, so when every
+  // arc matches every list is used up.
+  std::vector<uint64_t> cursor(row_ptr_.begin(), row_ptr_.end() - 1);
+  for (Vertex u = 0; u < n_; ++u) {
+    for (uint64_t i = row_ptr_[u]; i < row_ptr_[u + 1]; ++i) {
+      const Vertex v = adj_[i];
+      NBWP_REQUIRE(v < n_, "graph csr: neighbor id out of range");
+      NBWP_REQUIRE(v != u, "graph csr: self-loop");
+      NBWP_REQUIRE(i == row_ptr_[u] || adj_[i - 1] < v,
                    "graph csr: neighbors must be strictly increasing");
-      NBWP_REQUIRE(has_edge(adj_[i], v),
+      NBWP_REQUIRE(cursor[v] < row_ptr_[v + 1] && adj_[cursor[v]] == u,
                    "graph csr: missing reverse arc (asymmetric adjacency)");
+      ++cursor[v];
     }
   }
 }

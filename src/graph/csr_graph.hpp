@@ -48,8 +48,8 @@ class CsrGraph {
   /// first violation: row_ptr has n+1 monotone entries from 0 to the
   /// adjacency size, neighbor ids are in range and strictly increasing
   /// per list (sorted, duplicate-free), no self-loops, and every arc has
-  /// its reverse (undirected symmetry).  from_csr runs this on adopted
-  /// arrays.
+  /// its reverse (undirected symmetry).  Linear in n + m.  from_csr runs
+  /// this on adopted arrays.
   void validate() const;
 
   /// Memory footprint of the CSR arrays in bytes (used for PCIe costs).

@@ -77,7 +77,10 @@ void CsrMatrix::validate() const {
   NBWP_REQUIRE(col_idx_.size() == values_.size(),
                "csr: col_idx/values size mismatch");
   for (Index r = 0; r < rows_; ++r) {
-    NBWP_REQUIRE(row_ptr_[r] <= row_ptr_[r + 1],
+    // An entry past nnz is a dip further on; catch it before the row is
+    // read out of bounds.
+    NBWP_REQUIRE(row_ptr_[r] <= row_ptr_[r + 1] &&
+                     row_ptr_[r + 1] <= col_idx_.size(),
                  "csr: row_ptr must be monotone non-decreasing");
     for (uint64_t i = row_ptr_[r]; i < row_ptr_[r + 1]; ++i) {
       NBWP_REQUIRE(col_idx_[i] < cols_, "csr: column index out of range");

@@ -45,11 +45,15 @@ struct TripletMatrix {
 /// malformed input: bad banner, truncated size/entry lines, 1-based
 /// indices outside [1, rows] x [1, cols] (including the classic 0-based
 /// off-by-one), non-finite values, and trailing garbage on entry lines.
-/// Duplicate coordinates are summed (see coalesce_duplicates).
+/// Numbers follow the grammar operator>> accepted: an optional leading
+/// '+', and a value that underflows reads as 0 or a subnormal; see
+/// docs/ROBUSTNESS.md.  Duplicate coordinates are summed (see
+/// coalesce_duplicates).
 TripletMatrix read_matrix_market(std::istream& in);
 TripletMatrix read_matrix_market_file(const std::string& path);
 
-/// Write in coordinate format (general; values included unless `pattern`).
+/// Write in coordinate format (general; values included unless `pattern`,
+/// each in the shortest form that reads back to the same double).
 void write_matrix_market(std::ostream& out, const TripletMatrix& m);
 void write_matrix_market_file(const std::string& path,
                               const TripletMatrix& m);

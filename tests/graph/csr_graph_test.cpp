@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace nbwp::graph {
 namespace {
@@ -148,6 +149,56 @@ TEST(CsrGraphValidate, RejectsDuplicateNeighbors) {
 TEST(CsrGraphValidate, RejectsMissingReverseArc) {
   // Arc 0->1 present, 1->0 absent: directed, not an undirected CSR.
   expect_invalid(2, {0, 1, 1}, {1}, "reverse");
+}
+
+TEST(CsrGraphValidate, RejectsMissingReverseArcOnLastVertex) {
+  // 0-1 and 1-2 intact; vertex 2 also lists 0, which does not list 2.
+  expect_invalid(3, {0, 1, 3, 5}, {1, 0, 2, 0, 1}, "reverse");
+  // The mirror case: 0 lists 2, but 2 (the last vertex) does not list 0.
+  expect_invalid(3, {0, 2, 4, 5}, {1, 2, 0, 2, 1}, "reverse");
+}
+
+TEST(CsrGraphValidate, RejectsDirectedCycleWithBalancedDegrees) {
+  // 0->1->2->0: every list has as many entries as arcs point into it, so
+  // only matching arc values (not counts) exposes the asymmetry.
+  expect_invalid(3, {0, 1, 2, 3}, {1, 2, 0}, "reverse");
+}
+
+TEST(CsrGraphValidate, RowPtrOvershootIsRejectedInBounds) {
+  // row_ptr climbs past the adjacency size and dips back; the lists must
+  // not be read before this is caught.
+  expect_invalid(2, {0, 5, 2}, {1, 0}, "monotone");
+}
+
+TEST(CsrGraphValidate, LargeRandomGraphAdoptedAndOneRedirectedArcRejected) {
+  Rng rng(2024);
+  const Vertex n = 5000;
+  std::vector<Edge> edges;
+  for (int i = 0; i < 40000; ++i)
+    edges.emplace_back(static_cast<Vertex>(rng.uniform(n)),
+                       static_cast<Vertex>(rng.uniform(n)));
+  const CsrGraph g = CsrGraph::from_undirected_edges(n, edges);
+  std::vector<uint64_t> row_ptr(g.row_ptr().begin(), g.row_ptr().end());
+  std::vector<Vertex> adj(g.adjacency().begin(), g.adjacency().end());
+  const CsrGraph adopted = CsrGraph::from_csr(n, row_ptr, adj);
+  EXPECT_EQ(adopted.num_edges(), g.num_edges());
+
+  // Redirect one arc u->v to u->w, keeping u's list sorted and loop-free:
+  // w is absent from u's list and lies strictly between its neighbours.
+  int redirected = 0;
+  for (Vertex u = 0; u < n && redirected == 0; ++u) {
+    for (uint64_t i = row_ptr[u]; i < row_ptr[u + 1]; ++i) {
+      const Vertex lo = i == row_ptr[u] ? 0 : adj[i - 1] + 1;
+      const Vertex v = adj[i];
+      if (v > lo && v - 1 != u) {
+        adj[i] = v - 1;
+        ++redirected;
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(redirected, 1);
+  expect_invalid(n, row_ptr, adj, "reverse");
 }
 
 }  // namespace

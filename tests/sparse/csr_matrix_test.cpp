@@ -187,5 +187,11 @@ TEST(CsrMatrixValidate, RejectsNonFiniteValues) {
   expect_invalid(1, 2, {0, 1}, {0}, {HUGE_VAL}, "finite");
 }
 
+TEST(CsrMatrixValidate, RowPtrOvershootIsRejectedInBounds) {
+  // row_ptr climbs past nnz and dips back; col_idx must not be read past
+  // its end before this is caught.
+  expect_invalid(2, 4, {0, 5, 2}, {1, 2}, {1.0, 2.0}, "monotone");
+}
+
 }  // namespace
 }  // namespace nbwp::sparse

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace nbwp {
 namespace {
@@ -68,6 +71,38 @@ TEST(Mmio, RoundTrip) {
     EXPECT_EQ(back.entries[i].r, m.entries[i].r);
     EXPECT_EQ(back.entries[i].c, m.entries[i].c);
     EXPECT_DOUBLE_EQ(back.entries[i].v, m.entries[i].v);
+  }
+}
+
+TEST(Mmio, WriteReadRoundTripIsBitExact) {
+  // The writer emits the shortest spelling that reads back to the same
+  // double; the default 6-digit stream precision turned 0.1234567 into
+  // 0.123457.
+  Rng rng(31);
+  TripletMatrix m;
+  m.rows = m.cols = 1000;
+  m.entries.push_back({0, 0, 0.1234567});
+  m.entries.push_back({1, 1, 5e-324});
+  m.entries.push_back({2, 2, -1.7976931348623157e308});
+  for (uint64_t i = 3; i < 1000; ++i) {
+    double v = 0;
+    do {
+      const uint64_t raw = rng();
+      std::memcpy(&v, &raw, sizeof v);
+    } while (!std::isfinite(v));
+    m.entries.push_back({i, (i * 7) % 1000, v});
+  }
+  std::ostringstream out;
+  write_matrix_market(out, m);
+  std::istringstream in(out.str());
+  const TripletMatrix back = read_matrix_market(in);
+  ASSERT_EQ(back.entries.size(), m.entries.size());
+  for (size_t i = 0; i < m.entries.size(); ++i) {
+    uint64_t want = 0, got = 0;
+    std::memcpy(&want, &m.entries[i].v, sizeof want);
+    std::memcpy(&got, &back.entries[i].v, sizeof got);
+    EXPECT_EQ(got, want) << m.entries[i].v << " read back as "
+                         << back.entries[i].v;
   }
 }
 
