@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 
@@ -14,6 +16,10 @@ struct CcCase {
   const char* name;
   CsrGraph (*make)(Rng&);
 };
+
+// Print a case by its name: gtest would otherwise print the raw pointer
+// bytes, and those land in the test name and change from run to run.
+void PrintTo(const CcCase& c, std::ostream* os) { *os << c.name; }
 
 CsrGraph make_er(Rng& rng) { return erdos_renyi(400, 900, rng); }
 CsrGraph make_sparse_er(Rng& rng) { return erdos_renyi(1000, 600, rng); }
