@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "hetalg/gpu_guard.hpp"
 #include "hetsim/work_profile.hpp"
@@ -85,42 +86,46 @@ std::pair<double, double> HeteroSpmm::device_times_all() const {
   return {cpu, gpu};
 }
 
+std::vector<uint8_t> HeteroSpmm::execute_ranges(
+    std::span<const Index> cuts, std::span<const std::string> gate_names,
+    std::span<const double> device_ns, CsrMatrix& c) const {
+  const size_t k = cuts.size() - 1;
+  std::vector<sparse::SpgemmCounters> counters(k);
+  std::vector<uint8_t> rerouted(k, 0);
+  // The same Gustavson kernel computes every range; only the virtual-time
+  // accounting differs per device.  A persistent fault reroutes an
+  // offload range to the CPU with an identical product.
+  const auto runner = [&](size_t i, const std::function<void()>& numeric) {
+    if (i == 0 || cuts[i] == cuts[i + 1]) {
+      numeric();
+      return;
+    }
+    rerouted[i] = run_gpu_or_reroute(*platform_, gate_names[i].c_str(),
+                                     device_ns[i], numeric)
+                      ? 0
+                      : 1;
+  };
+  c = sparse::spgemm_parallel_ranges(a_, b_, ThreadPool::global(), cuts,
+                                     runner, counters);
+  for (size_t i = 0; i < k; ++i)
+    NBWP_REQUIRE(counters[i].multiplies ==
+                     work_prefix_[cuts[i + 1]] - work_prefix_[cuts[i]],
+                 "executed work disagrees with the load vector");
+  return rerouted;
+}
+
 hetsim::RunReport HeteroSpmm::run(double r_cpu_pct,
                                   CsrMatrix* c_out) const {
   const Index split = split_row(r_cpu_pct);
-  const Index n = a_.rows();
   const SpmmStructure s = structure_at(r_cpu_pct);
   const SpmmTimes times = spmm_times(*platform_, s);
 
-  // Execute both sides (the same Gustavson kernel computes both halves;
-  // only the virtual-time accounting differs per device).  The GPU half
-  // goes through the fault gate — a persistent fault reroutes it to the
-  // CPU with an identical product.  The symbolic pass runs once per
-  // instance: every threshold re-multiplies the same pattern, so the plan
-  // built on the first run serves all subsequent splits numeric-only.
-  const bool plan_built = plan_ == nullptr;
-  if (plan_built) {
-    plan_ = std::make_shared<const sparse::SpgemmPlan>(
-        sparse::spgemm_plan(a_, b_, ThreadPool::global()));
-  }
-  sparse::SpgemmCounters ccpu, cgpu;
-  CsrMatrix c1 =
-      sparse::spgemm_numeric_row_range(a_, b_, *plan_, 0, split, &ccpu);
-  CsrMatrix c2;
-  bool c2_on_gpu = true;
-  auto c2_kernel = [&] {
-    c2 = sparse::spgemm_numeric_row_range(a_, b_, *plan_, split, n, &cgpu);
-  };
-  if (split < n) {
-    c2_on_gpu =
-        run_gpu_or_reroute(*platform_, "spmm.c2", times.gpu_ns(), c2_kernel);
-  } else {
-    c2_kernel();
-  }
-  NBWP_REQUIRE(ccpu.multiplies == s.cpu.multiplies &&
-                   cgpu.multiplies == s.gpu.multiplies,
-               "executed work disagrees with the load vector");
-  CsrMatrix c = CsrMatrix::vstack(c1, c2);
+  const Index cuts[] = {0, split, a_.rows()};
+  const std::string gate_names[] = {"", "spmm.c2"};
+  const double device_ns[] = {times.cpu_ns(), times.gpu_ns()};
+  CsrMatrix c;
+  const bool c2_on_gpu =
+      execute_ranges(cuts, gate_names, device_ns, c)[1] == 0;
 
   hetsim::RunReport report;
   report.add_phase("phase1", times.phase1_ns);
@@ -131,7 +136,6 @@ hetsim::RunReport HeteroSpmm::run(double r_cpu_pct,
     report.add_phase("phase2.reroute", spgemm_cpu_work_ns(*platform_, s.gpu));
   }
   report.set_counter("gpu_rerouted", c2_on_gpu ? 0.0 : 1.0);
-  report.set_counter("plan_built", plan_built ? 1.0 : 0.0);
   report.add_phase("stitch", times.stitch_ns);
   report.set_counter("c_nnz", static_cast<double>(c.nnz()));
   report.set_counter("split_row", split);
@@ -202,43 +206,25 @@ hetsim::RunReport HeteroSpmm::run_kway(const core::PartitionDescriptor& d,
   const SpmmKwayStructure s = kway_structure(d);
   const SpmmKwayTimes times = spmm_kway_times(*platform_, s);
 
-  const bool plan_built = plan_ == nullptr;
-  if (plan_built) {
-    plan_ = std::make_shared<const sparse::SpgemmPlan>(
-        sparse::spgemm_plan(a_, b_, ThreadPool::global()));
-  }
-
-  // Execute every range with the numeric-only kernel; offload ranges go
-  // through the fault gate individually, so one dead device reroutes only
-  // its own rows.
+  // Offload ranges go through the fault gate individually, so one dead
+  // device reroutes only its own rows.
+  std::vector<std::string> gate_names(k);
+  for (size_t i = 1; i < k; ++i) gate_names[i] = strfmt("spmm.kway.d%zu", i);
   CsrMatrix c;
+  const std::vector<uint8_t> rerouted_at =
+      execute_ranges(b, gate_names, times.device_ns, c);
+
   double on_device_ns = 0.0;  // slowest offload range still on its device
   double reroute_ns = 0.0;    // rerouted ranges re-priced at CPU cost
   int rerouted = 0;
-  for (size_t i = 0; i < k; ++i) {
-    sparse::SpgemmCounters counters;
-    CsrMatrix part;
-    auto kernel = [&] {
-      part = sparse::spgemm_numeric_row_range(a_, b_, *plan_, b[i], b[i + 1],
-                                              &counters);
-    };
-    bool on_gpu = false;
-    if (i == 0 || b[i] == b[i + 1]) {
-      kernel();
+  for (size_t i = 1; i < k; ++i) {
+    if (b[i] == b[i + 1]) continue;
+    if (rerouted_at[i]) {
+      ++rerouted;
+      reroute_ns += spgemm_cpu_work_ns(*platform_, s.work[i]);
     } else {
-      const std::string what = strfmt("spmm.kway.d%zu", i);
-      on_gpu = run_gpu_or_reroute(*platform_, what.c_str(),
-                                  times.device_ns[i], kernel);
-      if (on_gpu) {
-        on_device_ns = std::max(on_device_ns, times.device_ns[i]);
-      } else {
-        ++rerouted;
-        reroute_ns += spgemm_cpu_work_ns(*platform_, s.work[i]);
-      }
+      on_device_ns = std::max(on_device_ns, times.device_ns[i]);
     }
-    NBWP_REQUIRE(counters.multiplies == s.work[i].multiplies,
-                 "executed work disagrees with the load vector");
-    c = i == 0 ? std::move(part) : CsrMatrix::vstack(c, part);
   }
 
   hetsim::RunReport report;
@@ -248,7 +234,6 @@ hetsim::RunReport HeteroSpmm::run_kway(const core::PartitionDescriptor& d,
   report.add_phase("stitch", times.stitch_ns);
   report.set_counter("devices", static_cast<double>(k));
   report.set_counter("gpu_rerouted", static_cast<double>(rerouted));
-  report.set_counter("plan_built", plan_built ? 1.0 : 0.0);
   report.set_counter("c_nnz", static_cast<double>(c.nnz()));
   report.set_counter("split_row", static_cast<double>(b[1]));
   report.set_counter("work_total", static_cast<double>(total_work()));

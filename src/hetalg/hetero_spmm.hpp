@@ -14,14 +14,15 @@
 // exhaustive sweeps cost O(rows/32) per candidate.
 #pragma once
 
-#include <memory>
+#include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/partition_descriptor.hpp"
 #include "hetalg/spmm_cost.hpp"
 #include "hetsim/platform.hpp"
 #include "sparse/csr_matrix.hpp"
-#include "sparse/spgemm_plan.hpp"
 #include "util/rng.hpp"
 
 namespace nbwp::hetalg {
@@ -50,12 +51,11 @@ class HeteroSpmm {
   /// "gpu_work_ns", "split_row"; phases: "phase1", "phase2.cpu",
   /// "phase2.gpu", "stitch".  The product C itself is validated in tests.
   ///
-  /// The first run builds a symbolic SpgemmPlan for A x B and caches it on
-  /// the instance; every run (any threshold — the split only moves the row
-  /// boundary, not the pattern) then executes the numeric-only kernel over
-  /// that plan ("plan_built" counter reports 0/1 per run).  Threshold
-  /// sweeps that re-multiply the same sampled sub-instance many times pay
-  /// the symbolic pass once.
+  /// Both halves come out of one parallel two-phase SpGEMM pass over A x B
+  /// (sparse::spgemm_parallel_ranges with cuts {0, split, n}): a single
+  /// symbolic pass sizes C, then the CPU rows and the GPU rows each run a
+  /// numeric pass balanced over the whole thread pool and write straight
+  /// into C, so [C1; C2] needs no stitch copy.
   ///
   /// The GPU product ("spmm.c2") is gated through the platform's fault
   /// injector (hetalg/gpu_guard.hpp); a persistent fault reroutes it to
@@ -133,15 +133,23 @@ class HeteroSpmm {
  private:
   void build_profiles();
 
+  /// Phase II over the row ranges [cuts[i], cuts[i+1]) (range i belongs to
+  /// device i) as one parallel SpGEMM pass into the single output `c`.
+  /// Each non-empty offload range i >= 1 runs behind the fault gate as
+  /// gate_names[i] with modeled device time device_ns[i]; returns, per
+  /// range, 1 when it was rerouted to the CPU.  Checks every range's
+  /// executed multiplies against the load vector.
+  std::vector<uint8_t> execute_ranges(std::span<const sparse::Index> cuts,
+                                      std::span<const std::string> gate_names,
+                                      std::span<const double> device_ns,
+                                      sparse::CsrMatrix& c) const;
+
   sparse::CsrMatrix a_;
   sparse::CsrMatrix b_;
   const hetsim::Platform* platform_;
   std::vector<uint64_t> row_work_;     ///< L_AB
   std::vector<uint64_t> work_prefix_;  ///< prefix sums of row_work_
   std::vector<uint64_t> a_nnz_prefix_;
-  /// Lazy symbolic plan for A x B; shared so copies keep the cache (the
-  /// plan is immutable once built and the operands never change).
-  mutable std::shared_ptr<const sparse::SpgemmPlan> plan_;
 };
 
 }  // namespace nbwp::hetalg

@@ -76,19 +76,32 @@ Index split_row_for_share(std::span<const uint64_t> load_prefix,
 std::vector<Index> balanced_boundaries(std::span<const uint64_t> load_prefix,
                                        unsigned parts) {
   NBWP_REQUIRE(!load_prefix.empty(), "empty load prefix");
+  return balanced_boundaries(
+      load_prefix, 0, static_cast<Index>(load_prefix.size() - 1), parts);
+}
+
+std::vector<Index> balanced_boundaries(std::span<const uint64_t> load_prefix,
+                                       Index first, Index last,
+                                       unsigned parts) {
+  NBWP_REQUIRE(first <= last && last < load_prefix.size(),
+               "row range out of bounds");
   NBWP_REQUIRE(parts >= 1, "need at least one part");
-  const auto n = static_cast<Index>(load_prefix.size() - 1);
-  const uint64_t total = load_prefix.back();
-  std::vector<Index> bounds(parts + 1, 0);
-  bounds[parts] = n;
+  // The range's own prefix: absolute values, so targets are offset by
+  // the load before `first` and indices by `first`.
+  const auto range = load_prefix.subspan(first, last - first + 1);
+  const uint64_t base = range.front();
+  const uint64_t total = range.back() - base;
+  std::vector<Index> bounds(parts + 1, first);
+  bounds[parts] = last;
   for (unsigned p = 1; p < parts; ++p) {
     Index b;
     if (total == 0) {
-      b = static_cast<Index>(static_cast<uint64_t>(n) * p / parts);
+      b = first + static_cast<Index>(static_cast<uint64_t>(last - first) *
+                                     p / parts);
     } else {
-      const auto target = static_cast<uint64_t>(
+      const auto target = base + static_cast<uint64_t>(
           static_cast<unsigned __int128>(total) * p / parts);
-      b = split_row_for_load(load_prefix, target);
+      b = first + split_row_for_load(range, target);
     }
     bounds[p] = std::max(b, bounds[p - 1]);
   }

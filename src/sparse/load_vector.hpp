@@ -48,4 +48,11 @@ Index split_row_for_share(std::span<const uint64_t> load_prefix,
 std::vector<Index> balanced_boundaries(std::span<const uint64_t> load_prefix,
                                        unsigned parts);
 
+/// The same partition restricted to rows [first, last): out[0] = first,
+/// out[parts] = last, and the internal boundaries split the range's own
+/// load (load_prefix[last] - load_prefix[first]) nearly evenly.
+std::vector<Index> balanced_boundaries(std::span<const uint64_t> load_prefix,
+                                       Index first, Index last,
+                                       unsigned parts);
+
 }  // namespace nbwp::sparse

@@ -93,6 +93,9 @@ class Spa {
   /// gathered element-wise.
   size_t extract_sorted(Index* col_out, double* val_out) {
     const auto cols = touched_sorted();
+    // An empty product's output arrays are null; memcpy forbids that even
+    // at size 0.
+    if (cols.empty()) return 0;
     std::memcpy(col_out, cols.data(), cols.size() * sizeof(Index));
     size_t t = 0;
     while (t < cols.size()) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "sparse/spgemm_plan.hpp"
@@ -133,34 +135,106 @@ void accumulate_row(const CsrMatrix& a, const CsrMatrix& b,
   local.a_nnz += acs.size();
 }
 
+/// Run `work(worker, lo, hi, ws)` over rows [first, last) on the pool,
+/// one leased workspace per block: contiguous blocks split by the flops
+/// prefix `load_prefix` restricted to the range, or dynamic chunks under
+/// SpgemmSchedule::kDynamic.  Folds each lease's arena high-water into
+/// `arena_high_water` when non-null.
+template <typename Work>
+void dispatch_rows(ThreadPool& pool, Index first, Index last,
+                   std::span<const uint64_t> load_prefix,
+                   const SpgemmParallelOptions& options, size_t hint,
+                   std::atomic<size_t>* arena_high_water, const Work& work) {
+  if (first == last) return;
+  const auto with_workspace = [&](unsigned w, Index lo, Index hi) {
+    auto ws = workspace_pool().acquire(hint);
+    count_workspace(ws);
+    work(w, lo, hi, *ws);
+    if (arena_high_water == nullptr) return;
+    size_t seen = arena_high_water->load(std::memory_order_relaxed);
+    const size_t mine = ws->arena.high_water_bytes();
+    while (mine > seen && !arena_high_water->compare_exchange_weak(
+                              seen, mine, std::memory_order_relaxed)) {
+    }
+  };
+  if (options.schedule == SpgemmSchedule::kDynamic) {
+    parallel_for_chunks(
+        pool, first, last,
+        [&](unsigned w, int64_t lo, int64_t hi) {
+          with_workspace(w, static_cast<Index>(lo), static_cast<Index>(hi));
+        },
+        Schedule::kDynamic, options.dynamic_chunk);
+  } else {
+    const std::vector<Index> bounds =
+        balanced_boundaries(load_prefix, first, last, pool.size());
+    pool.run_team([&](unsigned w) {
+      if (bounds[w] >= bounds[w + 1]) return;
+      with_workspace(w, bounds[w], bounds[w + 1]);
+    });
+  }
+}
+
+/// Check a cut list: at least one range, non-decreasing, inside A.
+void require_cuts(std::span<const Index> cuts, Index rows) {
+  NBWP_REQUIRE(cuts.size() >= 2, "need at least one row range");
+  NBWP_REQUIRE(std::is_sorted(cuts.begin(), cuts.end()) && cuts.back() <= rows,
+               "row range out of bounds");
+}
+
+/// Runner of the single-range entry points: the pass runs in place.
+void run_direct(size_t, const std::function<void()>& numeric) { numeric(); }
+
+/// Hand range r's numeric pass to `runner` and hold it to its contract:
+/// the pass runs exactly once.
+void run_range(const SpgemmRangeRunner& runner, size_t r,
+               const std::function<void()>& numeric) {
+  int calls = 0;
+  runner(r, std::function<void()>([&] {
+           if (++calls == 1) numeric();
+         }));
+  NBWP_REQUIRE(calls == 1,
+               "spgemm range runner must run the numeric pass exactly once");
+}
+
+/// Serial SPA product of rows [cuts.front(), cuts.back()) of A, range by
+/// range through `runner`; the result has cuts.back() - cuts.front() rows.
 template <typename KeepRow>
-CsrMatrix spgemm_impl(const CsrMatrix& a, const CsrMatrix& b, Index first,
-                      Index last, const KeepRow& keep_row,
+CsrMatrix spgemm_impl(const CsrMatrix& a, const CsrMatrix& b,
+                      std::span<const Index> cuts, const KeepRow& keep_row,
+                      const SpgemmRangeRunner& runner,
+                      std::span<SpgemmCounters> range_counters,
                       SpgemmCounters* counters) {
   NBWP_REQUIRE(a.cols() == b.rows(), "spgemm shape mismatch");
-  NBWP_REQUIRE(first <= last && last <= a.rows(), "row range out of bounds");
+  require_cuts(cuts, a.rows());
   auto ws = workspace_pool().acquire(
       workspace_hint(b.cols(), SpgemmAccumulator::kForceSpa));
   count_workspace(ws);
   Spa& spa = ws->spa;
   spa.ensure(ws->arena, b.cols());
-  CsrBuilder builder(last - first, b.cols());
-  SpgemmCounters local;
+  CsrBuilder builder(cuts.back() - cuts.front(), b.cols());
+  SpgemmCounters total;
   std::vector<double> vals_out;
-  for (Index i = first; i < last; ++i) {
-    spa.start_row();
-    accumulate_row(a, b, keep_row, i, spa, local);
-    const auto touched = spa.touched_sorted();
-    vals_out.resize(touched.size());
-    for (size_t t = 0; t < touched.size(); ++t)
-      vals_out[t] = spa.value(touched[t]);
-    builder.append_sorted_row(touched, vals_out);
-    local.c_nnz += touched.size();
+  for (size_t r = 0; r + 1 < cuts.size(); ++r) {
+    SpgemmCounters local;
+    run_range(runner, r, [&] {
+      for (Index i = cuts[r]; i < cuts[r + 1]; ++i) {
+        spa.start_row();
+        accumulate_row(a, b, keep_row, i, spa, local);
+        const auto touched = spa.touched_sorted();
+        vals_out.resize(touched.size());
+        for (size_t t = 0; t < touched.size(); ++t)
+          vals_out[t] = spa.value(touched[t]);
+        builder.append_sorted_row(touched, vals_out);
+        local.c_nnz += touched.size();
+      }
+      local.rows = cuts[r + 1] - cuts[r];
+      local.rows_spa = local.rows;
+    });
+    if (!range_counters.empty()) range_counters[r] += local;
+    total += local;
   }
-  local.rows = last - first;
-  local.rows_spa = last - first;
-  if (counters) *counters += local;
-  emit_kernel_counters(local);
+  if (counters) *counters += total;
+  emit_kernel_counters(total);
   return builder.finish();
 }
 
@@ -241,16 +315,21 @@ void numeric_rows(const CsrMatrix& a, const CsrMatrix& b,
   local.rows += hi - lo;
 }
 
-/// Two-phase work-balanced parallel product over all rows of A.
-/// `load` is the per-row flops vector matching `keep_row`.
+/// Two-phase work-balanced parallel product over all rows of A.  One
+/// symbolic pass sizes the single output; the numeric pass then runs per
+/// range [cuts[r], cuts[r+1]) through `runner`, each range balanced over
+/// the whole team on its own flops.  `load` is the per-row flops vector
+/// matching `keep_row`; cuts span [0, a.rows()).
 template <typename KeepRow>
 CsrMatrix spgemm_parallel_impl(const CsrMatrix& a, const CsrMatrix& b,
                                ThreadPool& pool, const KeepRow& keep_row,
                                std::vector<uint64_t> load,
+                               std::span<const Index> cuts,
+                               const SpgemmRangeRunner& runner,
+                               std::span<SpgemmCounters> range_counters,
                                SpgemmCounters* counters,
                                const SpgemmParallelOptions& options) {
   const Index n = a.rows();
-  const unsigned team = pool.size();
   const auto prefix = prefix_sums(load);
   std::vector<uint64_t> row_nnz(std::move(load));  // reuse as phase-1 output
   const AccumRouter router = AccumRouter::make(options, b.cols());
@@ -259,42 +338,15 @@ CsrMatrix spgemm_parallel_impl(const CsrMatrix& a, const CsrMatrix& b,
   std::vector<Index> row_span(router.needs_span() ? n : 0);
   Index* span_data = row_span.empty() ? nullptr : row_span.data();
   const size_t hint = workspace_hint(b.cols(), options.accumulator);
-  const bool dynamic = options.schedule == SpgemmSchedule::kDynamic;
-  const std::vector<Index> bounds =
-      dynamic ? std::vector<Index>{} : balanced_boundaries(prefix, team);
   std::atomic<size_t> arena_high_water{0};
-
-  // Run `work(worker, lo, hi, ws)` over all rows under the schedule.
-  const auto dispatch = [&](const auto& work) {
-    const auto with_workspace = [&](unsigned w, Index lo, Index hi) {
-      auto ws = workspace_pool().acquire(hint);
-      count_workspace(ws);
-      work(w, lo, hi, *ws);
-      size_t seen = arena_high_water.load(std::memory_order_relaxed);
-      const size_t mine = ws->arena.high_water_bytes();
-      while (mine > seen && !arena_high_water.compare_exchange_weak(
-                                seen, mine, std::memory_order_relaxed)) {
-      }
-    };
-    if (dynamic) {
-      parallel_for_chunks(
-          pool, 0, n,
-          [&](unsigned w, int64_t lo, int64_t hi) {
-            with_workspace(w, static_cast<Index>(lo),
-                           static_cast<Index>(hi));
-          },
-          Schedule::kDynamic, options.dynamic_chunk);
-    } else {
-      pool.run_team([&](unsigned w) {
-        if (bounds[w] >= bounds[w + 1]) return;
-        with_workspace(w, bounds[w], bounds[w + 1]);
-      });
-    }
+  const auto dispatch = [&](Index first, Index last, const auto& work) {
+    dispatch_rows(pool, first, last, prefix, options, hint,
+                  &arena_high_water, work);
   };
 
   {
     obs::Span symbolic("kernel.spgemm.symbolic");
-    dispatch([&](unsigned, Index lo, Index hi, SpgemmWorkspace& ws) {
+    dispatch(0, n, [&](unsigned, Index lo, Index hi, SpgemmWorkspace& ws) {
       symbolic_rows(a, b, keep_row, lo, hi, ws, router, row_nnz.data(),
                     span_data);
     });
@@ -307,20 +359,28 @@ CsrMatrix spgemm_parallel_impl(const CsrMatrix& a, const CsrMatrix& b,
   std::vector<Index> col_idx(nnz);
   std::vector<double> values(nnz);
 
-  std::vector<SpgemmCounters> part(team);
-  {
-    obs::Span numeric("kernel.spgemm.numeric");
-    dispatch([&](unsigned w, Index lo, Index hi, SpgemmWorkspace& ws) {
-      numeric_rows(a, b, keep_row, lo, hi, ws, router, row_ptr, span_data,
-                   col_idx.data(), values.data(), part[w]);
+  std::vector<SpgemmCounters> part(pool.size());
+  SpgemmCounters total;
+  for (size_t r = 0; r + 1 < cuts.size(); ++r) {
+    std::fill(part.begin(), part.end(), SpgemmCounters{});
+    run_range(runner, r, [&] {
+      obs::Span numeric("kernel.spgemm.numeric");
+      dispatch(cuts[r], cuts[r + 1],
+               [&](unsigned w, Index lo, Index hi, SpgemmWorkspace& ws) {
+                 numeric_rows(a, b, keep_row, lo, hi, ws, router, row_ptr,
+                              span_data, col_idx.data(), values.data(),
+                              part[w]);
+               });
     });
+    SpgemmCounters range;
+    for (const auto& pc : part) range += pc;
+    if (!range_counters.empty()) range_counters[r] += range;
+    total += range;
   }
 
   obs::set_gauge("kernel.spgemm.arena.high_water_bytes",
                  static_cast<double>(
                      arena_high_water.load(std::memory_order_relaxed)));
-  SpgemmCounters total;
-  for (const auto& pc : part) total += pc;
   if (counters) *counters += total;
   emit_kernel_counters(total);
   return CsrMatrix::from_parts(n, b.cols(), std::move(row_ptr),
@@ -328,43 +388,6 @@ CsrMatrix spgemm_parallel_impl(const CsrMatrix& a, const CsrMatrix& b,
 }
 
 // ---- SpgemmPlan internals -------------------------------------------------
-
-/// Shared scheduling shell of the plan paths: run `work(worker, lo, hi,
-/// ws)` over all n rows under the requested schedule with one leased
-/// workspace per block, folding each lease's arena high-water into
-/// `arena_high_water` when non-null.  Mirrors spgemm_parallel_impl's
-/// dispatch.
-template <typename Work>
-void dispatch_planned(ThreadPool& pool, Index n,
-                      std::span<const Index> bounds, bool dynamic,
-                      int64_t dynamic_chunk, size_t hint,
-                      std::atomic<size_t>* arena_high_water,
-                      const Work& work) {
-  const auto with_workspace = [&](unsigned w, Index lo, Index hi) {
-    auto ws = workspace_pool().acquire(hint);
-    count_workspace(ws);
-    work(w, lo, hi, *ws);
-    if (arena_high_water == nullptr) return;
-    size_t seen = arena_high_water->load(std::memory_order_relaxed);
-    const size_t mine = ws->arena.high_water_bytes();
-    while (mine > seen && !arena_high_water->compare_exchange_weak(
-                              seen, mine, std::memory_order_relaxed)) {
-    }
-  };
-  if (dynamic) {
-    parallel_for_chunks(
-        pool, 0, n,
-        [&](unsigned w, int64_t lo, int64_t hi) {
-          with_workspace(w, static_cast<Index>(lo), static_cast<Index>(hi));
-        },
-        Schedule::kDynamic, dynamic_chunk);
-  } else {
-    pool.run_team([&](unsigned w) {
-      if (bounds[w] >= bounds[w + 1]) return;
-      with_workspace(w, bounds[w], bounds[w + 1]);
-    });
-  }
-}
 
 /// Pattern-extraction pass of the plan build: per row, mark the output
 /// columns (no values) and write them, sorted, into their plan slot.
@@ -386,8 +409,11 @@ void pattern_rows(const CsrMatrix& a, const CsrMatrix& b, Index lo, Index hi,
       for (Index k : a.row_cols(i))
         for (Index c : b.row_cols(k)) ws.spa.mark(c);
       const auto touched = ws.spa.touched_sorted();
-      std::memcpy(col_out + at, touched.data(),
-                  touched.size() * sizeof(Index));
+      // An empty product leaves col_out null; memcpy forbids that even at
+      // size 0.
+      if (!touched.empty())
+        std::memcpy(col_out + at, touched.data(),
+                    touched.size() * sizeof(Index));
     }
   }
 }
@@ -464,7 +490,9 @@ CsrMatrix spgemm_row_range(const CsrMatrix& a, const CsrMatrix& b,
                            Index first, Index last,
                            SpgemmCounters* counters) {
   obs::Span span("kernel.spgemm.row_range");
-  return spgemm_impl(a, b, first, last, [](Index) { return true; }, counters);
+  const Index cuts[] = {first, last};
+  return spgemm_impl(a, b, cuts, [](Index) { return true; }, run_direct, {},
+                     counters);
 }
 
 CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
@@ -472,15 +500,37 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
   return spgemm_row_range(a, b, 0, a.rows(), counters);
 }
 
+CsrMatrix spgemm_parallel_ranges(const CsrMatrix& a, const CsrMatrix& b,
+                                 ThreadPool& pool, std::span<const Index> cuts,
+                                 const SpgemmRangeRunner& runner,
+                                 std::span<SpgemmCounters> range_counters,
+                                 const SpgemmParallelOptions& options) {
+  NBWP_REQUIRE(a.cols() == b.rows(), "spgemm shape mismatch");
+  require_cuts(cuts, a.rows());
+  NBWP_REQUIRE(cuts.front() == 0 && cuts.back() == a.rows(),
+               "row ranges must cover every row of A");
+  NBWP_REQUIRE(range_counters.size() == cuts.size() - 1,
+               "need one counter slot per row range");
+  const auto keep_all = [](Index) { return true; };
+  if (use_serial(a, pool, options)) {
+    obs::Span span("kernel.spgemm.row_range");
+    return spgemm_impl(a, b, cuts, keep_all, runner, range_counters, nullptr);
+  }
+  obs::Span span("kernel.spgemm.parallel");
+  return spgemm_parallel_impl(a, b, pool, keep_all,
+                              load_vector(a, row_nnz_vector(b)), cuts, runner,
+                              range_counters, nullptr, options);
+}
+
 CsrMatrix spgemm_parallel(const CsrMatrix& a, const CsrMatrix& b,
                           ThreadPool& pool, SpgemmCounters* counters,
                           const SpgemmParallelOptions& options) {
-  NBWP_REQUIRE(a.cols() == b.rows(), "spgemm shape mismatch");
-  if (use_serial(a, pool, options)) return spgemm(a, b, counters);
-  obs::Span span("kernel.spgemm.parallel");
-  return spgemm_parallel_impl(
-      a, b, pool, [](Index) { return true; },
-      load_vector(a, row_nnz_vector(b)), counters, options);
+  const Index cuts[] = {0, a.rows()};
+  SpgemmCounters whole;
+  CsrMatrix c = spgemm_parallel_ranges(a, b, pool, cuts, run_direct,
+                                       {&whole, 1}, options);
+  if (counters) *counters += whole;
+  return c;
 }
 
 CsrMatrix spgemm_row_range_masked(const CsrMatrix& a, const CsrMatrix& b,
@@ -489,9 +539,10 @@ CsrMatrix spgemm_row_range_masked(const CsrMatrix& a, const CsrMatrix& b,
                                   uint8_t keep, SpgemmCounters* counters) {
   obs::Span span("kernel.spgemm.masked");
   NBWP_REQUIRE(b_row_mask.size() == b.rows(), "mask size mismatch");
+  const Index cuts[] = {first, last};
   return spgemm_impl(
-      a, b, first, last,
-      [&](Index k) { return b_row_mask[k] == keep; }, counters);
+      a, b, cuts, [&](Index k) { return b_row_mask[k] == keep; }, run_direct,
+      {}, counters);
 }
 
 CsrMatrix spgemm_parallel_masked(const CsrMatrix& a, const CsrMatrix& b,
@@ -506,10 +557,11 @@ CsrMatrix spgemm_parallel_masked(const CsrMatrix& a, const CsrMatrix& b,
                                    counters);
   obs::Span span("kernel.spgemm.masked.parallel");
   const auto keep_row = [&](Index k) { return b_row_mask[k] == keep; };
+  const Index cuts[] = {0, a.rows()};
   return spgemm_parallel_impl(
       a, b, pool, keep_row,
-      load_vector_masked(a, row_nnz_vector(b), b_row_mask, keep), counters,
-      options);
+      load_vector_masked(a, row_nnz_vector(b), b_row_mask, keep), cuts,
+      run_direct, {}, counters, options);
 }
 
 CsrMatrix sp_add(const CsrMatrix& a, const CsrMatrix& b) {
@@ -570,7 +622,6 @@ SpgemmPlan spgemm_plan(const CsrMatrix& a, const CsrMatrix& b,
   obs::Span span("kernel.spgemm.plan.build");
   obs::count("kernel.spgemm.plan.built");
   const Index n = a.rows();
-  const unsigned team = pool.size();
 
   SpgemmPlan plan;
   plan.rows = n;
@@ -590,18 +641,13 @@ SpgemmPlan spgemm_plan(const CsrMatrix& a, const CsrMatrix& b,
   // router's density + locality decision on every future re-multiply.
   std::vector<Index> row_span(n);
   const size_t hint = workspace_hint(b.cols(), options.accumulator);
-  const bool dynamic = options.schedule == SpgemmSchedule::kDynamic;
-  const std::vector<Index> bounds =
-      dynamic ? std::vector<Index>{}
-              : balanced_boundaries(plan.load_prefix, team);
   const auto keep_all = [](Index) { return true; };
 
-  dispatch_planned(pool, n, bounds, dynamic, options.dynamic_chunk, hint,
-                   nullptr,
-                   [&](unsigned, Index lo, Index hi, SpgemmWorkspace& ws) {
-                     symbolic_rows(a, b, keep_all, lo, hi, ws, router,
-                                   row_nnz.data(), row_span.data());
-                   });
+  dispatch_rows(pool, 0, n, plan.load_prefix, options, hint, nullptr,
+                [&](unsigned, Index lo, Index hi, SpgemmWorkspace& ws) {
+                  symbolic_rows(a, b, keep_all, lo, hi, ws, router,
+                                row_nnz.data(), row_span.data());
+                });
 
   plan.row_ptr.assign(static_cast<size_t>(n) + 1, 0);
   for (Index i = 0; i < n; ++i)
@@ -612,12 +658,10 @@ SpgemmPlan spgemm_plan(const CsrMatrix& a, const CsrMatrix& b,
         router.use_hash_numeric(row_nnz[i], row_span[i]) ? 1 : 0;
 
   plan.col_idx.resize(plan.nnz());
-  dispatch_planned(pool, n, bounds, dynamic, options.dynamic_chunk, hint,
-                   nullptr,
-                   [&](unsigned, Index lo, Index hi, SpgemmWorkspace& ws) {
-                     pattern_rows(a, b, lo, hi, ws, plan,
-                                  plan.col_idx.data());
-                   });
+  dispatch_rows(pool, 0, n, plan.load_prefix, options, hint, nullptr,
+                [&](unsigned, Index lo, Index hi, SpgemmWorkspace& ws) {
+                  pattern_rows(a, b, lo, hi, ws, plan, plan.col_idx.data());
+                });
   return plan;
 }
 
@@ -629,24 +673,19 @@ CsrMatrix spgemm_numeric(const CsrMatrix& a, const CsrMatrix& b,
   obs::Span span("kernel.spgemm.numeric_only");
   obs::count("kernel.spgemm.plan.reused");
   const Index n = plan.rows;
-  const unsigned team = pool.size();
   std::vector<uint64_t> row_ptr(plan.row_ptr);
   std::vector<Index> col_idx(plan.col_idx);
   std::vector<double> values(plan.nnz());
 
   const size_t hint = workspace_hint(plan.cols, options.accumulator);
-  const bool dynamic = options.schedule == SpgemmSchedule::kDynamic;
-  const std::vector<Index> bounds =
-      dynamic ? std::vector<Index>{}
-              : balanced_boundaries(plan.load_prefix, team);
   std::atomic<size_t> arena_high_water{0};
-  std::vector<SpgemmCounters> part(team);
-  dispatch_planned(pool, n, bounds, dynamic, options.dynamic_chunk, hint,
-                   &arena_high_water,
-                   [&](unsigned w, Index lo, Index hi, SpgemmWorkspace& ws) {
-                     numeric_rows_planned(a, b, plan, lo, hi, ws,
-                                          values.data(), part[w]);
-                   });
+  std::vector<SpgemmCounters> part(pool.size());
+  dispatch_rows(pool, 0, n, plan.load_prefix, options, hint,
+                &arena_high_water,
+                [&](unsigned w, Index lo, Index hi, SpgemmWorkspace& ws) {
+                  numeric_rows_planned(a, b, plan, lo, hi, ws, values.data(),
+                                       part[w]);
+                });
   obs::set_gauge("kernel.spgemm.arena.high_water_bytes",
                  static_cast<double>(
                      arena_high_water.load(std::memory_order_relaxed)));

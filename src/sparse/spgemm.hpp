@@ -12,7 +12,10 @@
 // prefix sum (the paper's load vector L_AB, the same machinery Algorithm 2
 // uses for the CPU/GPU split), so skewed inputs no longer serialize on
 // whoever drew the dense rows; a dynamic-chunk schedule is available as a
-// fallback for adversarial load vectors.
+// fallback for adversarial load vectors.  The numeric phase can also be
+// cut into contiguous row ranges (spgemm_parallel_ranges), each balanced
+// over the whole team and run through a caller's runner — Algorithm 2's
+// CPU and GPU halves — still into the one output.
 //
 // Accumulation is *adaptive per row*: dense output rows use the dense SPA
 // (sparse/spa.hpp), sparse rows on wide matrices use an open-addressing
@@ -27,6 +30,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 
 #include "parallel/thread_pool.hpp"
 #include "sparse/csr_matrix.hpp"
@@ -101,6 +106,26 @@ CsrMatrix spgemm_parallel(const CsrMatrix& a, const CsrMatrix& b,
                           ThreadPool& pool,
                           SpgemmCounters* counters = nullptr,
                           const SpgemmParallelOptions& options = {});
+
+/// Runs one row range's numeric pass for spgemm_parallel_ranges: called
+/// once per range, in range order, with the range index and the pass.
+/// It must call `numeric()` exactly once — directly, or from behind a
+/// device gate such as hetalg::run_gpu_or_reroute.
+using SpgemmRangeRunner =
+    std::function<void(size_t range, const std::function<void()>& numeric)>;
+
+/// spgemm_parallel with the rows of A cut into contiguous ranges
+/// [cuts[r], cuts[r+1]) (cuts[0] == 0, cuts.back() == a.rows(),
+/// non-decreasing; empty ranges allowed).  One symbolic pass sizes the
+/// single output; then each range's numeric pass runs through `runner`,
+/// work-balanced over the whole pool, and writes its rows straight into
+/// C — the ranges need no stitch.  range_counters[r] (one per range) has
+/// range r's counters added.  Bitwise-identical to `spgemm`.
+CsrMatrix spgemm_parallel_ranges(const CsrMatrix& a, const CsrMatrix& b,
+                                 ThreadPool& pool, std::span<const Index> cuts,
+                                 const SpgemmRangeRunner& runner,
+                                 std::span<SpgemmCounters> range_counters,
+                                 const SpgemmParallelOptions& options = {});
 
 /// Row-range product using only the rows k of B for which
 /// b_row_mask[k] == keep; the HH-CPU algorithm's A_x × B_H / A_x × B_L

@@ -64,6 +64,22 @@ TEST_P(KwayTwoWayBitwiseTest, RunKwayReproducesScalarRun) {
   EXPECT_EQ(kway.counter("split_row"), scalar.counter("split_row"));
 }
 
+TEST_P(KwayTwoWayBitwiseTest, FourWayRunReproducesScalarProduct) {
+  // The GPU's share split over the GPU and the last accelerator, with an
+  // empty range in between: the cuts move, C does not.
+  const CsrMatrix a = test_matrix();
+  const hetsim::Platform platform = accel_platform(2);
+  const HeteroSpmm problem(a, platform);
+  const double cpu = GetParam() / 100.0;
+  const PartitionDescriptor d{{cpu, (1.0 - cpu) / 2, 0.0, (1.0 - cpu) / 2}};
+  CsrMatrix c_scalar, c_kway;
+  problem.run(GetParam(), &c_scalar);
+  const hetsim::RunReport kway = problem.run_kway(d, &c_kway);
+  EXPECT_EQ(c_kway, c_scalar);
+  EXPECT_EQ(kway.counter("devices"), 4.0);
+  EXPECT_EQ(kway.counter("c_nnz"), static_cast<double>(c_scalar.nnz()));
+}
+
 INSTANTIATE_TEST_SUITE_P(DyadicShares, KwayTwoWayBitwiseTest,
                          ::testing::Values(0.0, 6.25, 25.0, 50.0, 93.75,
                                            100.0));

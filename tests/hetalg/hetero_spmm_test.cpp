@@ -36,9 +36,17 @@ TEST_P(HeteroSpmmThresholdTest, SplitHoldsRequestedWorkShare) {
   EXPECT_NEAR(share, r, 2.0);
 }
 
+TEST_P(HeteroSpmmThresholdTest, ProductBitwiseEqualsSerial) {
+  const CsrMatrix a = test_matrix();
+  const HeteroSpmm problem(a, plat());
+  CsrMatrix c;
+  problem.run(GetParam(), &c);
+  EXPECT_EQ(c, sparse::spgemm(a, a));
+}
+
 INSTANTIATE_TEST_SUITE_P(Shares, HeteroSpmmThresholdTest,
                          ::testing::Values(0.0, 10.0, 33.0, 50.0, 90.0,
-                                           100.0));
+                                           100.0, 35.0));
 
 TEST(HeteroSpmm, ProductIsCorrect) {
   const CsrMatrix a = test_matrix();

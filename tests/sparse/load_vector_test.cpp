@@ -136,5 +136,24 @@ TEST(BalancedBoundaries, MorePartsThanRows) {
     EXPECT_LE(bounds[i - 1], bounds[i]);
 }
 
+TEST(BalancedBoundaries, RangeSplitsOnlyItsOwnLoad) {
+  // Rows [3, 9) carry loads 1, 1, 1, 1, 8, 0 (total 12): two parts put the
+  // boundary where the range's own prefix comes closest to 6 (4, before
+  // row 7), whatever lies outside the range.
+  const std::vector<uint64_t> loads = {50, 50, 50, 1, 1, 1, 1, 8, 0, 70};
+  const auto prefix = prefix_sums(loads);
+  EXPECT_EQ(balanced_boundaries(prefix, 3, 9, 2),
+            (std::vector<Index>{3, 7, 9}));
+  // A zero-load range falls back to equal row counts inside the range.
+  const std::vector<uint64_t> zero(12, 0);
+  EXPECT_EQ(balanced_boundaries(prefix_sums(zero), 4, 10, 3),
+            (std::vector<Index>{4, 6, 8, 10}));
+  // An empty range collapses every boundary onto it.
+  EXPECT_EQ(balanced_boundaries(prefix, 5, 5, 3),
+            (std::vector<Index>{5, 5, 5, 5}));
+  EXPECT_THROW(balanced_boundaries(prefix, 6, 5, 2), Error);
+  EXPECT_THROW(balanced_boundaries(prefix, 0, 11, 2), Error);
+}
+
 }  // namespace
 }  // namespace nbwp::sparse

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dense/dense_matrix.hpp"
 #include "sparse/generators.hpp"
 #include "util/rng.hpp"
@@ -175,6 +181,195 @@ INSTANTIATE_TEST_SUITE_P(
         default: return "Dynamic";
       }
     });
+
+// The range-split kernel behind spgemm_parallel and HeteroSpmm: one
+// symbolic pass, then a numeric pass per row range through a runner, all
+// into one output.  Parameterized by team size; team 1 takes the serial
+// shortcut, so both paths see every case.
+class SpgemmRangesTest : public ::testing::TestWithParam<unsigned> {
+ protected:
+  /// The cut lists every case runs: one range, an empty first or last
+  /// range, a two-way split, and four ranges with an empty middle one.
+  static std::vector<std::vector<Index>> cut_lists(Index n) {
+    const Index k = n / 3, k2 = 2 * n / 3;
+    return {{0, n}, {0, 0, n}, {0, n, n}, {0, k, n}, {0, k, k2, k2, n}};
+  }
+
+  /// Products of a scale-free input (skewed, wide: kAuto hash-routes its
+  /// sparse rows) and a banded FEM input (dense bands: mostly SPA rows).
+  static std::vector<std::pair<const char*, CsrMatrix>> inputs() {
+    Rng rng(15);
+    std::vector<std::pair<const char*, CsrMatrix>> out;
+    out.emplace_back("scale_free", scale_free(800, 8, 2.0, rng));
+    out.emplace_back("banded_fem", banded_fem(600, 24, 48, 4, rng));
+    return out;
+  }
+
+  static void run_in_place(size_t, const std::function<void()>& numeric) {
+    numeric();
+  }
+};
+
+TEST_P(SpgemmRangesTest, BitIdenticalToSerialForEveryCutList) {
+  ThreadPool pool(GetParam());
+  for (const auto& [name, a] : inputs()) {
+    const CsrMatrix seq = spgemm(a, a);
+    for (const auto& cuts : cut_lists(a.rows())) {
+      for (SpgemmSchedule schedule :
+           {SpgemmSchedule::kAuto, SpgemmSchedule::kDynamic}) {
+        SpgemmParallelOptions options;
+        options.schedule = schedule;
+        std::vector<SpgemmCounters> counters(cuts.size() - 1);
+        const CsrMatrix par = spgemm_parallel_ranges(
+            a, a, pool, cuts, run_in_place, counters, options);
+        EXPECT_TRUE(seq == par)
+            << name << " cuts=" << ::testing::PrintToString(cuts)
+            << " dynamic=" << (schedule == SpgemmSchedule::kDynamic);
+      }
+    }
+  }
+}
+
+TEST_P(SpgemmRangesTest, RoutesScaleFreeRowsToHashAndFemRowsToSpa) {
+  ThreadPool pool(GetParam());
+  const auto in = inputs();
+  SpgemmCounters scale_free_counters, fem_counters;
+  spgemm_parallel(in[0].second, in[0].second, pool, &scale_free_counters);
+  spgemm_parallel(in[1].second, in[1].second, pool, &fem_counters);
+  if (GetParam() == 1) {
+    EXPECT_EQ(scale_free_counters.rows_hash, 0u);  // serial shortcut: SPA
+  } else {
+    EXPECT_GT(scale_free_counters.rows_hash, 0u);
+  }
+  EXPECT_GT(fem_counters.rows_spa, fem_counters.rows_hash);
+}
+
+TEST_P(SpgemmRangesTest, PerRangeCountersMatchRowRange) {
+  ThreadPool pool(GetParam());
+  for (const auto& [name, a] : inputs()) {
+    for (const auto& cuts : cut_lists(a.rows())) {
+      std::vector<SpgemmCounters> counters(cuts.size() - 1);
+      spgemm_parallel_ranges(a, a, pool, cuts, run_in_place, counters);
+      for (size_t r = 0; r + 1 < cuts.size(); ++r) {
+        SpgemmCounters expected;
+        spgemm_row_range(a, a, cuts[r], cuts[r + 1], &expected);
+        EXPECT_EQ(counters[r].multiplies, expected.multiplies)
+            << name << " range " << r;
+        EXPECT_EQ(counters[r].c_nnz, expected.c_nnz) << name << " range " << r;
+        EXPECT_EQ(counters[r].rows, expected.rows) << name << " range " << r;
+        EXPECT_EQ(counters[r].rows_spa + counters[r].rows_hash,
+                  counters[r].rows)
+            << name << " range " << r;
+      }
+    }
+  }
+}
+
+TEST_P(SpgemmRangesTest, RunnerCalledOncePerRangeInOrder) {
+  ThreadPool pool(GetParam());
+  const CsrMatrix a = inputs()[0].second;
+  const std::vector<Index> cuts = cut_lists(a.rows()).back();
+  std::vector<size_t> seen;
+  std::vector<SpgemmCounters> counters(cuts.size() - 1);
+  spgemm_parallel_ranges(
+      a, a, pool, cuts,
+      [&](size_t range, const std::function<void()>& numeric) {
+        seen.push_back(range);
+        numeric();
+      },
+      counters);
+  EXPECT_EQ(seen, (std::vector<size_t>{0, 1, 2, 3}));
+}
+
+TEST_P(SpgemmRangesTest, RunnerExceptionPropagates) {
+  ThreadPool pool(GetParam());
+  const CsrMatrix a = inputs()[1].second;
+  const std::vector<Index> cuts = {0, a.rows() / 2, a.rows()};
+  std::vector<SpgemmCounters> counters(2);
+  // Thrown before and after the range's pass ran.
+  for (bool after : {false, true}) {
+    EXPECT_THROW(
+        spgemm_parallel_ranges(
+            a, a, pool, cuts,
+            [&](size_t range, const std::function<void()>& numeric) {
+              if (after) numeric();
+              if (range == 1) throw std::runtime_error("device lost");
+              if (!after) numeric();
+            },
+            counters),
+        std::runtime_error);
+  }
+  // A runner that skips or repeats the pass breaks the contract loudly.
+  for (int calls : {0, 2}) {
+    EXPECT_THROW(spgemm_parallel_ranges(
+                     a, a, pool, cuts,
+                     [&](size_t, const std::function<void()>& numeric) {
+                       for (int i = 0; i < calls; ++i) numeric();
+                     },
+                     counters),
+                 Error);
+  }
+}
+
+TEST_P(SpgemmRangesTest, RejectsMalformedCuts) {
+  ThreadPool pool(GetParam());
+  const CsrMatrix a = inputs()[1].second;
+  const Index n = a.rows();
+  std::vector<SpgemmCounters> one(1), two(2);
+  const std::vector<Index> none = {0}, partial = {0, n - 1},
+                           late = {1, n}, unsorted = {0, n, n - 1},
+                           past = {0, n + 1};
+  EXPECT_THROW(spgemm_parallel_ranges(a, a, pool, none, run_in_place, {}),
+               Error);
+  EXPECT_THROW(spgemm_parallel_ranges(a, a, pool, partial, run_in_place, one),
+               Error);
+  EXPECT_THROW(spgemm_parallel_ranges(a, a, pool, late, run_in_place, one),
+               Error);
+  EXPECT_THROW(spgemm_parallel_ranges(a, a, pool, unsorted, run_in_place, two),
+               Error);
+  EXPECT_THROW(spgemm_parallel_ranges(a, a, pool, past, run_in_place, one),
+               Error);
+  // One counter slot per range.
+  const std::vector<Index> split = {0, n / 2, n};
+  EXPECT_THROW(spgemm_parallel_ranges(a, a, pool, split, run_in_place, one),
+               Error);
+}
+
+TEST_P(SpgemmRangesTest, EmptyProductHasNoEntries) {
+  // Every row of A is empty, so C has no entries and its arrays no
+  // storage: no range may write through the null column pointer.
+  ThreadPool pool(GetParam());
+  const CsrMatrix a(64, 64);
+  for (const auto& cuts : cut_lists(a.rows())) {
+    std::vector<SpgemmCounters> counters(cuts.size() - 1);
+    const CsrMatrix c =
+        spgemm_parallel_ranges(a, a, pool, cuts, run_in_place, counters);
+    EXPECT_EQ(c.rows(), 64u);
+    EXPECT_EQ(c.nnz(), 0u);
+  }
+}
+
+TEST_P(SpgemmRangesTest, MaskedSingleRangeBitIdentical) {
+  ThreadPool pool(GetParam());
+  const CsrMatrix a = inputs()[0].second;
+  std::vector<uint8_t> mask(a.rows());
+  for (Index r = 0; r < a.rows(); ++r) mask[r] = a.row_nnz(r) > 8;
+  for (uint8_t keep : {uint8_t{0}, uint8_t{1}}) {
+    SpgemmCounters serial_counters, par_counters;
+    const CsrMatrix serial = spgemm_row_range_masked(
+        a, a, 0, a.rows(), mask, keep, &serial_counters);
+    const CsrMatrix par =
+        spgemm_parallel_masked(a, a, pool, mask, keep, &par_counters);
+    EXPECT_TRUE(serial == par) << "keep=" << int(keep);
+    EXPECT_EQ(serial_counters.multiplies, par_counters.multiplies);
+    EXPECT_EQ(serial_counters.c_nnz, par_counters.c_nnz);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Teams, SpgemmRangesTest, ::testing::Values(1, 2, 3, 4),
+                         [](const auto& param_info) {
+                           return "Team" + std::to_string(param_info.param);
+                         });
 
 TEST(Spgemm, ParallelRectangularProduct) {
   Rng rng(14);
