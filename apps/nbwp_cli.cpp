@@ -46,17 +46,11 @@
 #include <sstream>
 
 #include "core/baselines.hpp"
-#include "core/exhaustive.hpp"
-#include "core/extrapolate.hpp"
 #include "core/kway.hpp"
 #include "core/robust_estimate.hpp"
-#include "core/sampling_partitioner.hpp"
-#include "exp/experiment.hpp"
+#include "core/workloads.hpp"
 #include "exp/report.hpp"
-#include "hetalg/hetero_cc.hpp"
-#include "hetalg/hetero_spmm.hpp"
-#include "hetalg/hetero_spmm_hh.hpp"
-#include "hetalg/hetero_spmv.hpp"
+#include "exp/workloads.hpp"
 #include "hetsim/trace.hpp"
 #include "obs/export.hpp"
 #include "obs/manifest.hpp"
@@ -103,30 +97,17 @@ core::FallbackStage parse_fallback_stage(const std::string& s) {
               "' (auto | race | naive-static | off)");
 }
 
-core::SamplingConfig config_for(const std::string& workload,
-                                uint64_t seed) {
-  core::SamplingConfig cfg;
-  cfg.seed = seed;
-  if (workload == "cc") {
-    cfg.method = core::IdentifyMethod::kCoarseToFine;
-    cfg.warm.halfwidth = 4;  // 9 probes vs ~27 for the cold 8-then-1 grid
-    cfg.warm.step = 1;
-  } else if (workload == "spmm" || workload == "spmv") {
-    cfg.sample_factor = 0.25;
-    cfg.method = core::IdentifyMethod::kRaceThenFine;
-    cfg.warm.halfwidth = 3;  // 3 probes vs ~7 for the cold race + grid
-    cfg.warm.step = 3;
-  } else {  // hh
-    cfg.method = core::IdentifyMethod::kGradientDescent;
-    cfg.gradient.log_space = true;
-    cfg.gradient.starts = 2;
-    cfg.gradient.max_iterations = 10;
-    cfg.gradient.initial_step_fraction = 0.2;
-    cfg.warm.log_space = true;  // 7 probes vs ~20+ for cold multi-start
-    cfg.warm.log_ratio = 1.5;
-    cfg.warm.log_points = 3;
-  }
-  return cfg;
+/// The registry's identify config for `workload`, with the CLI's
+/// identify deadline and fallback start stage applied.
+core::RobustConfig robust_config_for(core::Workload workload,
+                                     const Request& req) {
+  core::RobustConfig rcfg;
+  rcfg.sampling =
+      core::sampling_config(workload, req.options.sampling_seed);
+  rcfg.sampling.identify_wall_deadline_ns = req.identify_deadline_ms * 1e6;
+  if (req.fallback != "off")
+    rcfg.start_stage = parse_fallback_stage(req.fallback);
+  return rcfg;
 }
 
 template <typename Problem, typename Estimate, typename Exhaust>
@@ -202,44 +183,18 @@ serve::PlanRequest make_batch_request(const serve::BatchEntry& entry,
                                       const std::string& id,
                                       const Request& req,
                                       const hetsim::Platform& platform) {
-  const auto& spec = datasets::spec_by_name(entry.dataset);
+  const core::Workload workload = core::parse_workload(entry.workload);
   exp::SuiteOptions options = req.options;
   options.scale = entry.scale;
   options.seed = entry.seed;
-
-  core::RobustConfig rcfg;
-  rcfg.sampling = config_for(entry.workload, req.options.sampling_seed);
-  rcfg.sampling.identify_wall_deadline_ns = req.identify_deadline_ms * 1e6;
-  if (req.fallback != "off")
-    rcfg.start_stage = parse_fallback_stage(req.fallback);
-
-  if (entry.workload == "cc") {
-    return serve::make_plan_request(
-        id, entry.workload,
-        hetalg::HeteroCc(exp::load_graph(spec, options), platform), rcfg);
-  }
-  if (entry.workload == "spmm") {
-    return serve::make_plan_request(
-        id, entry.workload,
-        hetalg::HeteroSpmm(exp::load_matrix(spec, options), platform), rcfg);
-  }
-  if (entry.workload == "spmv") {
-    return serve::make_plan_request(
-        id, entry.workload,
-        hetalg::HeteroSpmv(exp::load_matrix(spec, options), platform), rcfg);
-  }
-  if (entry.workload == "hh") {
-    return serve::make_plan_request(
-        id, entry.workload,
-        hetalg::HeteroSpmmHh(exp::load_matrix(spec, options), platform),
-        rcfg,
-        [](const hetalg::HeteroSpmmHh& full,
-           const hetalg::HeteroSpmmHh& sample, double ts) {
-          return core::work_share_extrapolate(full, sample, ts);
-        });
-  }
-  throw Error("unknown workload '" + entry.workload +
-              "' in batch manifest (cc|spmm|hh|spmv)");
+  return exp::visit_workload(
+      workload, datasets::spec_by_name(entry.dataset), options, platform,
+      [&](auto& problem, const auto& extrapolate, const auto&) {
+        return serve::make_plan_request(id, entry.workload,
+                                        std::move(problem),
+                                        robust_config_for(workload, req),
+                                        extrapolate);
+      });
 }
 
 int run_batch(const Request& req) {
@@ -343,29 +298,10 @@ void add_accels(hetsim::Platform& platform, int devices,
   }
 }
 
-/// estimate/run over a K > 2 PartitionDescriptor (spmm only — the other
-/// executors stay scalar; see docs/PARTITIONING.md).
-int run_kway_command(const char* command, const Request& req,
-                     const hetsim::Platform& platform) {
-  if (req.workload != "spmm")
-    throw Error("--devices > 2 currently supports --workload spmm only");
-  if (std::strcmp(command, "estimate") != 0 &&
-      std::strcmp(command, "run") != 0)
-    throw Error("--devices > 2 supports the estimate and run commands only");
-
-  const auto& spec = datasets::spec_by_name(req.dataset);
-  const hetalg::HeteroSpmm problem(exp::load_matrix(spec, req.options),
-                                   platform);
-
-  core::KwayConfig kcfg;
-  kcfg.devices = req.devices;
-  kcfg.objective = core::parse_cost_objective(req.objective);
-  kcfg.robust.sampling = config_for("spmm", req.options.sampling_seed);
-  kcfg.robust.sampling.identify_wall_deadline_ns =
-      req.identify_deadline_ms * 1e6;
-  if (req.fallback != "off")
-    kcfg.robust.start_stage = parse_fallback_stage(req.fallback);
-
+/// estimate/run `problem` over a K > 2 PartitionDescriptor.
+template <core::KwayExecutableProblem P>
+int run_kway(const char* command, const Request& req, const P& problem,
+             const core::KwayConfig& kcfg) {
   const core::KwayEstimate est =
       core::robust_estimate_partition_kway(problem, kcfg);
   std::printf("%d-way descriptor (%s): %s\n", req.devices,
@@ -391,6 +327,33 @@ int run_kway_command(const char* command, const Request& req,
   return 0;
 }
 
+/// estimate/run over a K > 2 PartitionDescriptor (spmm only — the other
+/// executors stay scalar; see docs/PARTITIONING.md).
+int run_kway_command(const char* command, const Request& req,
+                     core::Workload workload,
+                     const hetsim::Platform& platform) {
+  const Error spmm_only("--devices > 2 currently supports --workload spmm only");
+  if (workload != core::Workload::kSpmm) throw spmm_only;
+  if (std::strcmp(command, "estimate") != 0 &&
+      std::strcmp(command, "run") != 0)
+    throw Error("--devices > 2 supports the estimate and run commands only");
+
+  core::KwayConfig kcfg;
+  kcfg.devices = req.devices;
+  kcfg.objective = core::parse_cost_objective(req.objective);
+  kcfg.robust = robust_config_for(workload, req);
+  return exp::visit_workload(
+      workload, datasets::spec_by_name(req.dataset), req.options, platform,
+      [&](const auto& problem, const auto&, const auto&) -> int {
+        if constexpr (core::KwayExecutableProblem<
+                          std::decay_t<decltype(problem)>>) {
+          return run_kway(command, req, problem, kcfg);
+        } else {
+          throw spmm_only;
+        }
+      });
+}
+
 int run_command(const char* command, const Request& req) {
   if (std::strcmp(command, "batch") == 0) return run_batch(req);
   // A by-value copy of the reference platform so an injected fault plan
@@ -401,26 +364,21 @@ int run_command(const char* command, const Request& req) {
     platform.set_fault_plan(plan);
     log_info("fault plan: " + plan.summary());
   }
+  const core::Workload workload = core::parse_workload(req.workload);
   if (req.devices < 2)
     throw Error("--devices must be at least 2 (CPU + primary GPU)");
   if (req.devices > 2) {
     add_accels(platform, req.devices, req.accel_spec);
-    return run_kway_command(command, req, platform);
+    return run_kway_command(command, req, workload, platform);
   }
-  const auto& spec = datasets::spec_by_name(req.dataset);
-  auto cfg = config_for(req.workload, req.options.sampling_seed);
-  cfg.identify_wall_deadline_ns = req.identify_deadline_ms * 1e6;
-
-  core::RobustConfig rcfg;
-  rcfg.sampling = cfg;
-  if (req.fallback != "off")
-    rcfg.start_stage = parse_fallback_stage(req.fallback);
+  const core::RobustConfig rcfg = robust_config_for(workload, req);
 
   // Estimate through the guarded fallback chain unless --fallback off, in
   // which case estimation errors (deadline, faults) propagate to main().
-  auto guarded = [&](const auto& p, const auto& rich) {
+  auto guarded = [&](const auto& p, const auto& extrapolate) {
     if (req.fallback == "off") {
-      const auto est = core::estimate_partition(p, cfg, rich);
+      const auto est =
+          core::estimate_partition(p, rcfg.sampling, extrapolate);
       core::RobustEstimate out;
       out.threshold = est.threshold;
       out.estimation_cost_ns = est.estimation_cost_ns;
@@ -428,65 +386,15 @@ int run_command(const char* command, const Request& req) {
       out.sampled = est;
       return out;
     }
-    return core::robust_estimate_partition(p, rcfg, rich);
+    return core::robust_estimate_partition(p, rcfg, extrapolate);
   };
-  auto scalar_extrapolate = [&cfg](const auto&, const auto&, double ts) {
-    return cfg.extrapolate ? cfg.extrapolate(ts) : ts;
-  };
-
-  if (req.workload == "cc") {
-    const hetalg::HeteroCc problem(exp::load_graph(spec, req.options),
-                                   platform);
-    return drive(command, req, problem,
-                 [&](const hetalg::HeteroCc& p) {
-                   return guarded(p, scalar_extrapolate);
-                 },
-                 [](const hetalg::HeteroCc& p) {
-                   return core::exhaustive_search(p, 1.0);
-                 });
-  }
-  if (req.workload == "spmm") {
-    const hetalg::HeteroSpmm problem(exp::load_matrix(spec, req.options),
-                                     platform);
-    return drive(command, req, problem,
-                 [&](const hetalg::HeteroSpmm& p) {
-                   return guarded(p, scalar_extrapolate);
-                 },
-                 [](const hetalg::HeteroSpmm& p) {
-                   return core::exhaustive_search(p, 1.0);
-                 });
-  }
-  if (req.workload == "spmv") {
-    const hetalg::HeteroSpmv problem(exp::load_matrix(spec, req.options),
-                                     platform);
-    return drive(command, req, problem,
-                 [&](const hetalg::HeteroSpmv& p) {
-                   return guarded(p, scalar_extrapolate);
-                 },
-                 [](const hetalg::HeteroSpmv& p) {
-                   return core::exhaustive_search(p, 1.0);
-                 });
-  }
-  if (req.workload == "hh") {
-    const hetalg::HeteroSpmmHh problem(exp::load_matrix(spec, req.options),
-                                       platform);
-    return drive(command, req, problem,
-                 [&](const hetalg::HeteroSpmmHh& p) {
-                   return guarded(
-                       p, [](const hetalg::HeteroSpmmHh& full,
-                             const hetalg::HeteroSpmmHh& sample, double ts) {
-                         return core::work_share_extrapolate(full, sample,
-                                                             ts);
-                       });
-                 },
-                 [](const hetalg::HeteroSpmmHh& p) {
-                   return core::exhaustive_search_over(
-                       p, p.candidate_thresholds(192));
-                 });
-  }
-  std::fprintf(stderr, "unknown workload '%s' (cc|spmm|hh|spmv)\n",
-               req.workload.c_str());
-  return 1;
+  return exp::visit_workload(
+      workload, datasets::spec_by_name(req.dataset), req.options, platform,
+      [&](const auto& problem, const auto& extrapolate, const auto& oracle) {
+        return drive(
+            command, req, problem,
+            [&](const auto& p) { return guarded(p, extrapolate); }, oracle);
+      });
 }
 
 int info() {

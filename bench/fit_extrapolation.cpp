@@ -12,11 +12,10 @@
 #include <iostream>
 
 #include "bench/bench_common.hpp"
-#include "core/exhaustive.hpp"
 #include "core/extrapolate.hpp"
-#include "core/sampling_partitioner.hpp"
+#include "core/workloads.hpp"
 #include "exp/report.hpp"
-#include "hetalg/hetero_spmm_hh.hpp"
+#include "exp/workloads.hpp"
 #include "util/bestfit.hpp"
 #include "util/strfmt.hpp"
 
@@ -35,20 +34,17 @@ int main(int argc, char** argv) {
                     "work-share(t_s)"});
   for (const auto& spec : datasets::scale_free_datasets()) {
     hetalg::HeteroSpmmHh problem(exp::load_matrix(spec, options), platform);
-    const auto ex = core::exhaustive_search_over(
-        problem, problem.candidate_thresholds(192));
-    core::SamplingConfig cfg;
-    cfg.method = core::IdentifyMethod::kGradientDescent;
-    cfg.gradient.log_space = true;
-    cfg.gradient.starts = 2;
-    cfg.seed = options.sampling_seed;
-    // Identity extrapolation: we want the raw t_s.
+    const auto ex = exp::cutoff_oracle(problem);
+    // The deployed HH identify config, with identity extrapolation: we
+    // want the raw t_s the pipeline finds.
+    const core::SamplingConfig cfg =
+        core::sampling_config(core::Workload::kHh, options.sampling_seed);
     const auto est = core::estimate_partition(problem, cfg);
     Rng rng(cfg.seed);
-    const auto sample = problem.make_sample(1.0, rng);
+    const auto sample = problem.make_sample(cfg.sample_factor, rng);
     const double fold = core::fold_inversion(
         est.sample_threshold,
-        static_cast<double>(problem.sample_size(1.0)));
+        static_cast<double>(problem.sample_size(cfg.sample_factor)));
     const double share =
         core::work_share_extrapolate(problem, sample, est.sample_threshold);
     ts.push_back(std::max(1.0, est.sample_threshold));

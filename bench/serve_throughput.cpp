@@ -58,12 +58,10 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "core/extrapolate.hpp"
-#include "exp/report.hpp"
 #include "core/robust_estimate.hpp"
-#include "hetalg/hetero_cc.hpp"
-#include "hetalg/hetero_spmm.hpp"
-#include "hetalg/hetero_spmm_hh.hpp"
+#include "core/workloads.hpp"
+#include "exp/report.hpp"
+#include "exp/workloads.hpp"
 #include "hetsim/faults.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/slo.hpp"
@@ -77,59 +75,29 @@ namespace {
 
 using namespace nbwp;
 
-core::RobustConfig config_for(const std::string& workload, uint64_t seed) {
-  core::RobustConfig rcfg;
-  core::SamplingConfig& cfg = rcfg.sampling;
-  cfg.seed = seed;
-  if (workload == "cc") {
-    cfg.method = core::IdentifyMethod::kCoarseToFine;
-    cfg.warm.halfwidth = 4;
-    cfg.warm.step = 1;
-  } else if (workload == "spmm") {
-    cfg.sample_factor = 0.25;
-    cfg.method = core::IdentifyMethod::kRaceThenFine;
-    cfg.warm.halfwidth = 3;
-    cfg.warm.step = 3;
-  } else {  // hh
-    cfg.method = core::IdentifyMethod::kGradientDescent;
-    cfg.gradient.log_space = true;
-    cfg.gradient.starts = 2;
-    cfg.gradient.max_iterations = 10;
-    cfg.gradient.initial_step_fraction = 0.2;
-    cfg.warm.log_space = true;
-    cfg.warm.log_ratio = 1.5;
-    cfg.warm.log_points = 3;
-  }
-  return rcfg;
-}
-
 std::vector<serve::PlanRequest> make_mix(const exp::SuiteOptions& options,
                                          uint64_t generation_seed,
                                          const std::string& tag,
                                          const hetsim::Platform& platform) {
   exp::SuiteOptions opt = options;
   opt.seed = generation_seed;
+  const std::pair<core::Workload, const char*> mix[] = {
+      {core::Workload::kCc, "pwtk"},
+      {core::Workload::kSpmm, "cant"},
+      {core::Workload::kHh, "web-BerkStan"}};
   std::vector<serve::PlanRequest> requests;
-  requests.push_back(serve::make_plan_request(
-      "cc:pwtk:" + tag, "cc",
-      hetalg::HeteroCc(
-          exp::load_graph(datasets::spec_by_name("pwtk"), opt), platform),
-      config_for("cc", options.sampling_seed)));
-  requests.push_back(serve::make_plan_request(
-      "spmm:cant:" + tag, "spmm",
-      hetalg::HeteroSpmm(
-          exp::load_matrix(datasets::spec_by_name("cant"), opt), platform),
-      config_for("spmm", options.sampling_seed)));
-  requests.push_back(serve::make_plan_request(
-      "hh:web-BerkStan:" + tag, "hh",
-      hetalg::HeteroSpmmHh(
-          exp::load_matrix(datasets::spec_by_name("web-BerkStan"), opt),
-          platform),
-      config_for("hh", options.sampling_seed),
-      [](const hetalg::HeteroSpmmHh& full,
-         const hetalg::HeteroSpmmHh& sample, double ts) {
-        return core::work_share_extrapolate(full, sample, ts);
-      }));
+  for (const auto& [workload, dataset] : mix) {
+    const std::string name = core::workload_name(workload);
+    core::RobustConfig rcfg;
+    rcfg.sampling = core::sampling_config(workload, options.sampling_seed);
+    requests.push_back(exp::visit_workload(
+        workload, datasets::spec_by_name(dataset), opt, platform,
+        [&](auto& problem, const auto& extrapolate, const auto&) {
+          return serve::make_plan_request(name + ":" + dataset + ":" + tag,
+                                          name, std::move(problem), rcfg,
+                                          extrapolate);
+        }));
+  }
   return requests;
 }
 

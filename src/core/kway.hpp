@@ -1,14 +1,10 @@
 // K-way identification: Sample -> Identify -> Extrapolate over
-// PartitionDescriptors instead of scalar thresholds.
-//
-// Two entry points mirror the scalar pipeline:
-//
-//   estimate_partition_kway        the paper's pipeline over descriptors
-//   robust_estimate_partition_kway the same under the fallback chain
+// PartitionDescriptors instead of scalar thresholds, under the same
+// guard rails as the scalar pipeline (robust_estimate_partition_kway).
 //
 // K = 2 is not reimplemented: it *delegates* to the scalar
-// estimate_partition / robust_estimate_partition and embeds the resulting
-// threshold as a two-way descriptor.  That makes the equivalence claim of
+// robust_estimate_partition and embeds the resulting threshold as a
+// two-way descriptor.  That makes the equivalence claim of
 // docs/PARTITIONING.md structural — the K = 2 descriptor path runs the
 // identical code, so thresholds, objective values and evaluation counts
 // match the scalar path bitwise.  Each CostObjective maps to the scalar
@@ -27,10 +23,11 @@
 // (shares survive sampling where raw cutoffs do not, the same reasoning
 // as the serve warm-start path).
 //
-// The K > 2 fallback chain is sampled -> naive-static (shares
-// proportional to per-device effective throughput); the race stage is
-// inherently two-device and is skipped.  A GPU known dead degrades to the
-// all-CPU descriptor, as in the scalar chain.
+// The K > 2 chain is the scalar guard-rail ladder
+// (detail::guarded_estimate) with descriptor stage bodies: sampled ->
+// naive-static (shares proportional to per-device effective throughput);
+// the race stage is inherently two-device and is skipped.  A GPU known
+// dead degrades to the all-CPU descriptor, as in the scalar chain.
 #pragma once
 
 #include <algorithm>
@@ -61,12 +58,6 @@ struct KwayConfig {
   /// noise, probe hook, start stage.  At K = 2 it is forwarded verbatim
   /// (only `objective` above overrides sampling.objective).
   RobustConfig robust{};
-  /// Boundary grid steps (percent of cumulative share) for the K > 2
-  /// coordinate descent; the scalar coarse-to-fine defaults.
-  double coarse_step_pct = 8.0;
-  double fine_step_pct = 1.0;
-  /// Cap on full coordinate-descent sweeps per grid resolution.
-  int max_sweeps = 8;
 };
 
 struct KwayEstimate {
@@ -74,8 +65,6 @@ struct KwayEstimate {
   /// Scalar threshold when devices == 2 (the delegated estimate);
   /// unused for K > 2.
   double threshold = 0;
-  /// Best identify objective observed on the sample (K > 2 search).
-  double sample_objective = 0;
   FallbackStage stage = FallbackStage::kSampled;
   std::string reason;
   double estimation_cost_ns = 0;
@@ -96,15 +85,22 @@ inline Objective scalar_objective_for(CostObjective objective) {
   return Objective::kBalance;
 }
 
+/// Boundary grid steps (percent of cumulative share) of the K > 2
+/// coordinate descent — the scalar coarse-to-fine defaults — and the cap
+/// on full sweeps per grid resolution.
+inline constexpr double kKwayCoarseStepPct = 8.0;
+inline constexpr double kKwayFineStepPct = 1.0;
+inline constexpr int kKwayMaxSweeps = 8;
+
 /// Coordinate descent over the K-1 interior boundaries on `sample`.
 /// Budgets, noise and the probe hook behave exactly as in identify_on;
 /// throws IdentifyDeadlineExceeded when a budget runs out.
 template <typename P>
-IdentifyResult identify_kway_on(const P& sample, const KwayConfig& cfg,
+IdentifyResult identify_kway_on(const P& sample, int k,
+                                CostObjective objective,
+                                const SamplingConfig& scfg,
                                 PartitionDescriptor& best_out,
                                 Rng& noise_rng) {
-  const int k = cfg.devices;
-  const SamplingConfig& scfg = cfg.robust.sampling;
   const auto wall_start = std::chrono::steady_clock::now();
   IdentifyResult result;
   // Memoized on the quantized boundary vector: revisited corners during
@@ -138,9 +134,9 @@ IdentifyResult identify_kway_on(const P& sample, const KwayConfig& cfg,
         PartitionDescriptor::from_cumulative_pct(cum);
     const double makespan = sample.kway_time_ns(d);
     const double raw =
-        cfg.objective == CostObjective::kCriticalPath
+        objective == CostObjective::kCriticalPath
             ? makespan
-            : descriptor_cost(cfg.objective, sample.kway_marginal_work_ns(d));
+            : descriptor_cost(objective, sample.kway_marginal_work_ns(d));
     const double sigma_factor = scfg.probe_hook ? scfg.probe_hook(raw) : 1.0;
     double observed = raw;
     if (scfg.timing_noise_ns > 0) {
@@ -165,10 +161,9 @@ IdentifyResult identify_kway_on(const P& sample, const KwayConfig& cfg,
     cum = seed.cumulative_pct();
   }
   double best = objective_at(cum);
-  for (double step : {cfg.coarse_step_pct, cfg.fine_step_pct}) {
-    if (step <= 0) continue;
+  for (double step : {kKwayCoarseStepPct, kKwayFineStepPct}) {
     bool improved = true;
-    for (int sweep = 0; improved && sweep < cfg.max_sweeps; ++sweep) {
+    for (int sweep = 0; improved && sweep < kKwayMaxSweeps; ++sweep) {
       improved = false;
       for (int j = 0; j < k - 1; ++j) {
         const double lo = j == 0 ? 0.0 : cum[static_cast<size_t>(j - 1)];
@@ -195,55 +190,13 @@ IdentifyResult identify_kway_on(const P& sample, const KwayConfig& cfg,
 
 }  // namespace detail
 
-/// Sample -> Identify -> Extrapolate over descriptors.  K = 2 delegates
-/// to the scalar estimate_partition; K > 2 requires the problem to model
-/// KwayExecutableProblem and throws on budget exhaustion like the scalar
-/// pipeline (wrap with robust_estimate_partition_kway for the fallback
-/// chain).  Fires identify.kway.evals and plan.devices.
-template <PartitionProblem P>
-KwayEstimate estimate_partition_kway(const P& problem,
-                                     const KwayConfig& cfg) {
-  NBWP_REQUIRE(cfg.devices >= 2, "k-way estimation needs >= 2 devices");
-  KwayEstimate out;
-  if (cfg.devices == 2) {
-    SamplingConfig scfg = cfg.robust.sampling;
-    scfg.objective = detail::scalar_objective_for(cfg.objective);
-    const PartitionEstimate est = estimate_partition(problem, scfg);
-    out.descriptor = PartitionDescriptor::two_way(
-        detail::cpu_share_of_threshold(problem, est.threshold));
-    out.threshold = est.threshold;
-    out.estimation_cost_ns = est.estimation_cost_ns;
-    out.evaluations = est.evaluations;
-    return out;
-  }
-  if constexpr (!KwayExecutableProblem<P>) {
-    NBWP_REQUIRE(false,
-                 "problem does not implement the k-way descriptor "
-                 "interface (kway_marginal_work_ns / kway_time_ns)");
-  } else {
-    obs::Span estimate_span("estimate.kway");
-    Rng rng(cfg.robust.sampling.seed);
-    const P sample =
-        problem.make_sample(cfg.robust.sampling.sample_factor, rng);
-    out.estimation_cost_ns +=
-        problem.sampling_cost_ns(cfg.robust.sampling.sample_factor);
-    Rng noise_rng = rng.fork();
-    const IdentifyResult found =
-        detail::identify_kway_on(sample, cfg, out.descriptor, noise_rng);
-    out.estimation_cost_ns += found.cost_ns;
-    out.evaluations = found.evaluations;
-    out.sample_objective = found.best_objective;
-    obs::count("identify.kway.evals", found.evaluations);
-    log_debug(strfmt("k-way estimate: %s after %d evaluations",
-                     out.descriptor.to_string().c_str(), found.evaluations));
-  }
-  return out;
-}
-
-/// estimate_partition_kway under guard rails.  K = 2 delegates to the
-/// scalar robust_estimate_partition (identical chain, identical plans);
-/// K > 2 runs sampled -> naive-static, with the degraded all-CPU
-/// descriptor when the GPU is known dead.
+/// Sample -> Identify -> Extrapolate over descriptors under guard rails.
+/// K = 2 delegates to the scalar robust_estimate_partition (identical
+/// chain, identical plans); K > 2 requires the problem to model
+/// KwayExecutableProblem and runs the shared ladder as sampled ->
+/// naive-static, with the degraded all-CPU descriptor when the GPU is
+/// known dead.  Fires plan.devices, and identify.kway.evals for a K > 2
+/// sampled search.
 template <PartitionProblem P>
 KwayEstimate robust_estimate_partition_kway(const P& problem,
                                             const KwayConfig& cfg) {
@@ -268,69 +221,39 @@ KwayEstimate robust_estimate_partition_kway(const P& problem,
                  "problem does not implement the k-way descriptor "
                  "interface (kway_marginal_work_ns / kway_time_ns)");
   } else {
-    KwayEstimate out;
+    const size_t k = static_cast<size_t>(cfg.devices);
     const hetsim::Platform& platform = detail::platform_of(problem);
-    hetsim::FaultInjector* injector = platform.faults();
-    if (injector && injector->gpu_dead()) {
-      out.stage = FallbackStage::kDegraded;
-      out.reason = "gpu_offline";
-      out.descriptor = PartitionDescriptor::all_cpu(cfg.devices);
-      detail::count_trigger(out.reason);
-      detail::count_stage(out.stage);
-      return out;
-    }
-    auto note = [&out](const std::string& reason) {
-      detail::count_trigger(reason);
-      out.reason = out.reason.empty() ? reason : out.reason + "," + reason;
-    };
-    if (cfg.robust.start_stage == FallbackStage::kSampled) {
-      if (detail::is_degenerate(problem)) {
-        note("degenerate_input");
-      } else {
-        KwayConfig scfg = cfg;
-        if (injector && !scfg.robust.sampling.probe_hook) {
-          scfg.robust.sampling.probe_hook = [injector](double observed_ns) {
-            injector->gpu_kernel("estimate.probe", observed_ns);
-            return injector->noise_sigma_factor();
-          };
-        }
-        try {
-          KwayEstimate est = estimate_partition_kway(problem, scfg);
-          if (est.descriptor.valid()) {
-            est.reason = out.reason;
-            detail::count_stage(est.stage);
-            return est;
-          }
-          note("degenerate_sample");
-        } catch (const IdentifyDeadlineExceeded& e) {
-          obs::count("robustness.deadline.identify");
-          note("identify_deadline");
-          out.estimation_cost_ns += e.virtual_spent_ns();
-          out.evaluations += e.evaluations();
-          log_warn(std::string("k-way robust estimate: ") + e.what() +
-                   "; falling back to naive static shares");
-        } catch (const hetsim::DeviceFault& e) {
-          note("device_fault");
-          log_warn(std::string("k-way robust estimate: ") + e.what() +
-                   "; falling back to naive static shares");
-        } catch (const Error& e) {
-          note("estimate_error");
-          log_warn(std::string("k-way robust estimate: ") + e.what() +
-                   "; falling back to naive static shares");
-        }
-      }
-    }
-    // Naive static: shares proportional to each device's effective
-    // throughput — spec sheets only, cannot fail.
-    out.stage = FallbackStage::kNaiveStatic;
-    if (injector && injector->gpu_dead()) {
-      out.descriptor = PartitionDescriptor::all_cpu(cfg.devices);
-    } else {
-      out.descriptor = PartitionDescriptor::from_weights(
-          platform.device_ops_per_s(static_cast<size_t>(cfg.devices)));
-    }
-    detail::count_stage(out.stage);
-    return out;
+    return detail::guarded_estimate<KwayEstimate>(
+        problem, cfg.robust,
+        [&](KwayEstimate& out) {
+          out.descriptor = PartitionDescriptor::all_cpu(cfg.devices);
+        },
+        [&](const SamplingConfig& scfg, KwayEstimate& out) {
+          obs::Span estimate_span("estimate.kway");
+          Rng rng(scfg.seed);
+          const P sample = problem.make_sample(scfg.sample_factor, rng);
+          Rng noise_rng = rng.fork();
+          PartitionDescriptor best;
+          const IdentifyResult found = detail::identify_kway_on(
+              sample, cfg.devices, cfg.objective, scfg, best, noise_rng);
+          obs::count("identify.kway.evals", found.evaluations);
+          log_debug(strfmt("k-way estimate: %s after %d evaluations",
+                           best.to_string().c_str(), found.evaluations));
+          if (!best.valid()) return false;
+          out.descriptor = std::move(best);
+          out.estimation_cost_ns =
+              problem.sampling_cost_ns(scfg.sample_factor) + found.cost_ns;
+          out.evaluations = found.evaluations;
+          return true;
+        },
+        detail::NoRace{},
+        [&](KwayEstimate& out, bool gpu_dead) {
+          // Shares proportional to each device's effective throughput.
+          out.descriptor =
+              gpu_dead ? PartitionDescriptor::all_cpu(cfg.devices)
+                       : PartitionDescriptor::from_weights(
+                             platform.device_ops_per_s(k));
+        });
   }
 }
 

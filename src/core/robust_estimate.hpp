@@ -21,11 +21,14 @@
 // robustness.trigger.<reason>) so run manifests show how a threshold was
 // obtained.  The chain is deterministic per seed for virtual/seeded
 // triggers; the identify *wall* deadline is the only machine-dependent
-// trigger (docs/ROBUSTNESS.md).
+// trigger (docs/ROBUSTNESS.md).  The ladder itself is written once
+// (detail::guarded_estimate); the K > 2 descriptor chain of core/kway.hpp
+// runs through it with its own stage bodies.
 #pragma once
 
 #include <cmath>
 #include <string>
+#include <type_traits>
 
 #include "core/baselines.hpp"
 #include "core/sampling_partitioner.hpp"
@@ -134,42 +137,54 @@ inline void count_trigger(const std::string& reason) {
     obs::count("robustness.trigger." + reason);
 }
 
-}  // namespace detail
+/// Stage body for a chain without a race stage (K > 2: the race is
+/// inherently two-device).
+struct NoRace {};
 
-/// Sample -> Identify -> Extrapolate under guard rails; see the file
-/// comment for the chain.  `extrapolate` has the rich signature of
-/// estimate_partition: (full, sample, t_sample) -> t_full.  Never throws
-/// for platform faults, deadlines, or degenerate inputs — only for
-/// genuine programming errors (e.g. a Problem whose naive-static mapping
-/// itself throws).
-template <PartitionProblem P, typename ExtrapolateFn>
-  requires std::invocable<ExtrapolateFn, const P&, const P&, double>
-RobustEstimate robust_estimate_partition(const P& problem,
-                                         const RobustConfig& cfg,
-                                         ExtrapolateFn&& extrapolate) {
-  RobustEstimate out;
-  hetsim::FaultInjector* injector = detail::platform_of(problem).faults();
+/// The guard-rail ladder shared by robust_estimate_partition and the
+/// K > 2 branch of robust_estimate_partition_kway (core/kway.hpp).  The
+/// ladder owns the GPU-dead short-circuit, the degenerate-input check,
+/// the fault-probe hook, the catches and the trigger/stage counters; the
+/// caller passes the plan-specific stage bodies, each filling `out`:
+///
+///   degraded(out)            the all-CPU plan (GPU known dead)
+///   sampled(scfg, out)       the sampled pipeline under `scfg` (probe
+///                            hook installed); false = no usable plan
+///   race(out)                the race estimate, or NoRace to skip it;
+///                            false = the input carries no timing signal
+///   naive_static(out, dead)  spec-sheet plan; cannot fail
+///
+/// `Out` needs stage, reason, estimation_cost_ns and evaluations.
+template <typename Out, typename P, typename Degraded, typename Sampled,
+          typename Race, typename NaiveStatic>
+Out guarded_estimate(const P& problem, const RobustConfig& cfg,
+                     Degraded&& degraded, Sampled&& sampled, Race&& race,
+                     NaiveStatic&& naive_static) {
+  constexpr bool kHasRace = !std::is_same_v<std::decay_t<Race>, NoRace>;
+  const char* fallback = kHasRace ? "; falling back to race estimate"
+                                  : "; falling back to naive static";
+  Out out;
+  hetsim::FaultInjector* injector = platform_of(problem).faults();
 
   // A GPU already known dead makes any device-ratio estimate meaningless:
   // route everything to the CPU and skip estimation entirely.
   if (injector && injector->gpu_dead()) {
     out.stage = FallbackStage::kDegraded;
     out.reason = "gpu_offline";
-    out.threshold = detail::cpu_most_threshold(problem);
-    detail::count_trigger(out.reason);
-    detail::count_stage(out.stage);
-    log_warn("robust estimate: gpu offline, degraded CPU-only threshold " +
-             strfmt("%.2f", out.threshold));
+    degraded(out);
+    count_trigger(out.reason);
+    count_stage(out.stage);
+    log_warn("robust estimate: gpu offline, degraded to the all-CPU plan");
     return out;
   }
 
   auto note = [&out](const std::string& reason) {
-    detail::count_trigger(reason);
+    count_trigger(reason);
     out.reason = out.reason.empty() ? reason : out.reason + "," + reason;
   };
 
   if (cfg.start_stage == FallbackStage::kSampled) {
-    if (detail::is_degenerate(problem)) {
+    if (is_degenerate(problem)) {
       note("degenerate_input");
     } else {
       SamplingConfig scfg = cfg.sampling;
@@ -183,22 +198,9 @@ RobustEstimate robust_estimate_partition(const P& problem,
         };
       }
       try {
-        PartitionEstimate est = estimate_partition(
-            problem, scfg,
-            [&](const P& full, const P& sample, double t_sample) {
-              if (detail::is_degenerate(sample)) {
-                throw DegenerateSample(
-                    "sampled sub-instance carries no signal");
-              }
-              return extrapolate(full, sample, t_sample);
-            });
-        if (std::isfinite(est.threshold)) {
+        if (sampled(scfg, out)) {
           out.stage = FallbackStage::kSampled;
-          out.threshold = est.threshold;
-          out.estimation_cost_ns = est.estimation_cost_ns;
-          out.evaluations = est.evaluations;
-          out.sampled = est;
-          detail::count_stage(out.stage);
+          count_stage(out.stage);
           return out;
         }
         note("degenerate_sample");
@@ -207,81 +209,117 @@ RobustEstimate robust_estimate_partition(const P& problem,
         note("identify_deadline");
         out.estimation_cost_ns += e.virtual_spent_ns();
         out.evaluations += e.evaluations();
-        log_warn(std::string("robust estimate: ") + e.what() +
-                 "; falling back to race estimate");
+        log_warn(std::string("robust estimate: ") + e.what() + fallback);
       } catch (const hetsim::DeviceFault& e) {
         note("device_fault");
-        log_warn(std::string("robust estimate: ") + e.what() +
-                 "; falling back to race estimate");
+        log_warn(std::string("robust estimate: ") + e.what() + fallback);
       } catch (const DegenerateSample& e) {
         note("degenerate_sample");
-        log_warn(std::string("robust estimate: ") + e.what() +
-                 "; falling back to race estimate");
+        log_warn(std::string("robust estimate: ") + e.what() + fallback);
       } catch (const Error& e) {
         note("estimate_error");
-        log_warn(std::string("robust estimate: ") + e.what() +
-                 "; falling back to race estimate");
+        log_warn(std::string("robust estimate: ") + e.what() + fallback);
       }
     }
   }
 
-  if (cfg.start_stage != FallbackStage::kNaiveStatic) {
-    // Race-based coarse estimate: run the whole input on both devices (in
-    // the cost model) and split by the throughput ratio.  A dead/dying GPU
-    // is caught here too — the race "runs" a GPU kernel.
-    try {
-      double cpu_all = 0, gpu_all = 0;
-      if constexpr (requires { problem.device_times_all(); }) {
-        const auto [c, g] = problem.device_times_all();
-        cpu_all = c;
-        gpu_all = g;
-      } else {
-        cpu_all = problem.time_ns(detail::cpu_most_threshold(problem));
-        gpu_all = problem.time_ns(detail::gpu_most_threshold(problem));
+  if constexpr (kHasRace) {
+    if (cfg.start_stage != FallbackStage::kNaiveStatic) {
+      try {
+        if (race(out)) {
+          out.stage = FallbackStage::kRace;
+          count_stage(out.stage);
+          return out;
+        }
+        note("degenerate_input");
+      } catch (const hetsim::DeviceFault& e) {
+        note("device_fault");
+        log_warn(std::string("robust estimate: race failed: ") + e.what() +
+                 "; falling back to naive static");
+      } catch (const Error& e) {
+        note("estimate_error");
+        log_warn(std::string("robust estimate: race failed: ") + e.what() +
+                 "; falling back to naive static");
       }
-      if (injector) injector->gpu_kernel("estimate.race", gpu_all);
-      const double denom = cpu_all + gpu_all;
-      if (denom > 0 && std::isfinite(denom)) {
-        out.stage = FallbackStage::kRace;
+    }
+  }
+
+  // Device spec sheets only, cannot fail.  Under an injected hard fault
+  // the injector reports the GPU dead by now and the plan collapses to
+  // CPU-only.
+  out.stage = FallbackStage::kNaiveStatic;
+  naive_static(out, injector && injector->gpu_dead());
+  count_stage(out.stage);
+  return out;
+}
+
+}  // namespace detail
+
+/// Sample -> Identify -> Extrapolate under guard rails; see the file
+/// comment for the chain.  `extrapolate` has the signature of
+/// estimate_partition's: (full, sample, t_sample) -> t_full.  Never throws
+/// for platform faults, deadlines, or degenerate inputs — only for
+/// genuine programming errors (e.g. a Problem whose naive-static mapping
+/// itself throws).
+template <PartitionProblem P, typename ExtrapolateFn = IdentityExtrapolate>
+  requires std::invocable<ExtrapolateFn, const P&, const P&, double>
+RobustEstimate robust_estimate_partition(const P& problem,
+                                         const RobustConfig& cfg,
+                                         ExtrapolateFn&& extrapolate = {}) {
+  return detail::guarded_estimate<RobustEstimate>(
+      problem, cfg,
+      [&](RobustEstimate& out) {
+        out.threshold = detail::cpu_most_threshold(problem);
+      },
+      [&](const SamplingConfig& scfg, RobustEstimate& out) {
+        const PartitionEstimate est = estimate_partition(
+            problem, scfg,
+            [&](const P& full, const P& sample, double t_sample) {
+              if (detail::is_degenerate(sample)) {
+                throw DegenerateSample(
+                    "sampled sub-instance carries no signal");
+              }
+              return extrapolate(full, sample, t_sample);
+            });
+        if (!std::isfinite(est.threshold)) return false;
+        out.threshold = est.threshold;
+        out.estimation_cost_ns = est.estimation_cost_ns;
+        out.evaluations = est.evaluations;
+        out.sampled = est;
+        return true;
+      },
+      [&](RobustEstimate& out) {
+        // Race-based coarse estimate: run the whole input on both devices
+        // (in the cost model) and split by the throughput ratio.  A
+        // dead/dying GPU is caught here too — the race "runs" a GPU kernel.
+        double cpu_all = 0, gpu_all = 0;
+        if constexpr (requires { problem.device_times_all(); }) {
+          const auto [c, g] = problem.device_times_all();
+          cpu_all = c;
+          gpu_all = g;
+        } else {
+          cpu_all = problem.time_ns(detail::cpu_most_threshold(problem));
+          gpu_all = problem.time_ns(detail::gpu_most_threshold(problem));
+        }
+        if (hetsim::FaultInjector* injector =
+                detail::platform_of(problem).faults())
+          injector->gpu_kernel("estimate.race", gpu_all);
+        const double denom = cpu_all + gpu_all;
+        if (!(denom > 0 && std::isfinite(denom))) return false;
         out.threshold =
             detail::threshold_for_cpu_share(problem, gpu_all / denom);
         out.estimation_cost_ns += std::min(cpu_all, gpu_all);
         out.evaluations += 1;
-        detail::count_stage(out.stage);
-        return out;
-      }
-      note("degenerate_input");
-    } catch (const hetsim::DeviceFault& e) {
-      note("device_fault");
-      log_warn(std::string("robust estimate: race failed: ") + e.what() +
-               "; falling back to naive static");
-    } catch (const Error& e) {
-      note("estimate_error");
-      log_warn(std::string("robust estimate: race failed: ") + e.what() +
-               "; falling back to naive static");
-    }
-  }
-
-  // Peak-FLOPS ratio: device spec sheets only, cannot fail.  Under an
-  // injected hard fault the injector reports the GPU dead by now and the
-  // share collapses to CPU-only.
-  out.stage = FallbackStage::kNaiveStatic;
-  const hetsim::Platform& platform = detail::platform_of(problem);
-  double cpu_share = naive_static_cpu_share_pct(platform) / 100.0;
-  if (injector && injector->gpu_dead()) cpu_share = 1.0;
-  out.threshold = detail::threshold_for_cpu_share(problem, cpu_share);
-  detail::count_stage(out.stage);
-  return out;
-}
-
-/// Scalar-extrapolation convenience overload (mirrors estimate_partition).
-template <PartitionProblem P>
-RobustEstimate robust_estimate_partition(const P& problem,
-                                         const RobustConfig& cfg) {
-  return robust_estimate_partition(
-      problem, cfg, [&cfg](const P&, const P&, double t_sample) {
-        return cfg.sampling.extrapolate ? cfg.sampling.extrapolate(t_sample)
-                                        : t_sample;
+        return true;
+      },
+      [&](RobustEstimate& out, bool gpu_dead) {
+        // Peak-FLOPS ratio of the devices (Section III-B.2).
+        const double cpu_share =
+            gpu_dead ? 1.0
+                     : naive_static_cpu_share_pct(
+                           detail::platform_of(problem)) /
+                           100.0;
+        out.threshold = detail::threshold_for_cpu_share(problem, cpu_share);
       });
 }
 

@@ -56,9 +56,6 @@ struct SamplingConfig {
                                ///< sqrt(n) for CC/HH, fraction of n for spmm
   IdentifyMethod method = IdentifyMethod::kCoarseToFine;
   Objective objective = Objective::kBalance;
-  /// Extrapolate step; identity unless the threshold scale changes under
-  /// sampling (HH uses a relation fitted offline, see util/bestfit.hpp).
-  std::function<double(double)> extrapolate;
   uint64_t seed = 0x5EED;
   int repeats = 1;  ///< independent samples; thresholds are averaged
   double coarse_step = 8, fine_step = 1;       // kCoarseToFine
@@ -185,17 +182,26 @@ IdentifyResult identify_on(const P& sample, const SamplingConfig& cfg,
 
 }  // namespace detail
 
-/// Run Sample -> Identify -> Extrapolate with a rich extrapolator that can
-/// inspect both the full problem and the sample it was found on:
+/// The Extrapolate step of a problem whose thresholds survive sampling
+/// unchanged (percent shares): t_full = t_sample.
+struct IdentityExtrapolate {
+  template <typename P>
+  double operator()(const P&, const P&, double t_sample) const {
+    return t_sample;
+  }
+};
+
+/// Run Sample -> Identify -> Extrapolate.  The extrapolator can inspect
+/// both the full problem and the sample it was found on:
 /// `extrapolate(full, sample, t_sample) -> t_full`.  This is the hook the
 /// HH case study uses for work-share matching (the Section II framework
 /// explicitly allows the Extrapolate step to "deploy tools from other
 /// domains").
-template <PartitionProblem P, typename ExtrapolateFn>
+template <PartitionProblem P, typename ExtrapolateFn = IdentityExtrapolate>
   requires std::invocable<ExtrapolateFn, const P&, const P&, double>
 PartitionEstimate estimate_partition(const P& problem,
                                      const SamplingConfig& cfg,
-                                     ExtrapolateFn&& extrapolate) {
+                                     ExtrapolateFn&& extrapolate = {}) {
   NBWP_REQUIRE(cfg.repeats >= 1, "repeats must be >= 1");
   obs::Span estimate_span("estimate");
   obs::count("estimate.calls");
@@ -235,17 +241,6 @@ PartitionEstimate estimate_partition(const P& problem,
                    est.threshold, est.evaluations,
                    est.estimation_cost_ns / 1e6));
   return est;
-}
-
-/// Run Sample -> Identify -> Extrapolate with the scalar extrapolation in
-/// `cfg.extrapolate` (identity when unset).
-template <PartitionProblem P>
-PartitionEstimate estimate_partition(const P& problem,
-                                     const SamplingConfig& cfg) {
-  return estimate_partition(
-      problem, cfg, [&cfg](const P&, const P&, double t_sample) {
-        return cfg.extrapolate ? cfg.extrapolate(t_sample) : t_sample;
-      });
 }
 
 }  // namespace nbwp::core

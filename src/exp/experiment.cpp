@@ -6,13 +6,9 @@
 #include <cmath>
 
 #include "core/baselines.hpp"
-#include "core/exhaustive.hpp"
-#include "core/extrapolate.hpp"
+#include "exp/workloads.hpp"
 #include "graph/convert.hpp"
-#include "hetalg/hetero_cc.hpp"
 #include "hetalg/hetero_gemm.hpp"
-#include "hetalg/hetero_spmm.hpp"
-#include "hetalg/hetero_spmm_hh.hpp"
 #include "obs/obs.hpp"
 #include "util/log.hpp"
 #include "util/mmio.hpp"
@@ -40,60 +36,81 @@ std::string mtx_path(const datasets::DatasetSpec& spec,
   return std::filesystem::exists(p) ? p.string() : std::string{};
 }
 
-core::SamplingConfig cc_config(const SuiteOptions& options) {
-  core::SamplingConfig cfg;
-  cfg.sample_factor = 1.0;  // sqrt(n) vertices
-  cfg.method = core::IdentifyMethod::kCoarseToFine;
-  cfg.objective = core::Objective::kBalance;
-  cfg.seed = options.sampling_seed;
-  cfg.repeats = options.repeats;
-  return cfg;
-}
+/// One suite row: estimate on `problem` and price the estimate and the
+/// baselines against the exhaustive optimum `oracle`.
+template <typename P, typename Extrapolate>
+CaseResult estimate_case(const P& problem, const Extrapolate& extrapolate,
+                         const core::SamplingConfig& cfg,
+                         const hetsim::Platform& platform,
+                         const core::ExhaustiveResult& oracle,
+                         double naive_avg) {
+  CaseResult r;
+  r.exhaustive_threshold = oracle.best_threshold;
+  r.exhaustive_ns = oracle.best_time_ns;
 
-core::SamplingConfig spmm_config(const SuiteOptions& options) {
-  core::SamplingConfig cfg;
-  cfg.sample_factor = 0.25;  // n/4 x n/4 submatrix
-  cfg.method = core::IdentifyMethod::kRaceThenFine;
-  cfg.objective = core::Objective::kBalance;
-  cfg.seed = options.sampling_seed;
-  cfg.repeats = options.repeats;
-  return cfg;
-}
+  const core::PartitionEstimate est =
+      core::estimate_partition(problem, cfg, extrapolate);
+  r.estimated_threshold = est.threshold;
+  r.sample_threshold = est.sample_threshold;
+  r.estimation_cost_ns = est.estimation_cost_ns;
+  r.evaluations = est.evaluations;
+  r.estimated_ns = problem.time_ns(est.threshold);
 
-core::SamplingConfig hh_config(const SuiteOptions& options) {
-  core::SamplingConfig cfg;
-  cfg.sample_factor = 1.0;  // sqrt(n) rows
-  cfg.method = core::IdentifyMethod::kGradientDescent;
-  cfg.objective = core::Objective::kBalance;
-  cfg.gradient.log_space = true;
-  cfg.gradient.starts = 2;
-  cfg.gradient.max_iterations = 10;
-  cfg.gradient.initial_step_fraction = 0.2;
-  cfg.seed = options.sampling_seed;
-  cfg.repeats = options.repeats;
-  return cfg;
+  r.naive_average_threshold =
+      std::clamp(naive_avg, problem.threshold_lo(), problem.threshold_hi());
+  r.naive_average_ns = problem.time_ns(r.naive_average_threshold);
+
+  if constexpr (requires { problem.threshold_for_work_share(0.5); }) {
+    // HH: map the FLOPS ratio to a heavy-row work share; cutoffs span
+    // orders of magnitude, so the diff is relative to the optimum.
+    r.naive_static_threshold = problem.threshold_for_work_share(
+        core::naive_static_cpu_share_pct(platform) / 100.0);
+    r.threshold_diff_pct =
+        100.0 * std::abs(r.estimated_threshold - r.exhaustive_threshold) /
+        std::max(1.0, r.exhaustive_threshold);
+    r.gpu_only_ns = problem.time_ns(problem.threshold_hi());
+  } else {
+    r.naive_static_threshold = core::naive_static_cpu_share_pct(platform);
+    r.threshold_diff_pct =
+        std::abs(r.estimated_threshold - r.exhaustive_threshold);
+    r.gpu_only_ns = problem.time_ns(0.0);
+  }
+  if constexpr (requires { problem.input(); }) {
+    r.n = problem.input().num_vertices();
+    r.nnz = problem.input().num_edges();
+  } else {
+    r.n = problem.a().rows();
+    r.nnz = problem.a().nnz();
+  }
+  r.naive_static_ns = problem.time_ns(r.naive_static_threshold);
+  r.time_diff_pct =
+      100.0 * (r.estimated_ns - r.exhaustive_ns) / r.exhaustive_ns;
+  r.overhead_pct = 100.0 * r.estimation_cost_ns /
+                   (r.estimation_cost_ns + r.estimated_ns);
+  return r;
 }
 
 /// The shared two-pass suite skeleton: pass 1 finds every exhaustive
 /// optimum (the NaiveAverage baseline is their mean, exactly the paper's
 /// "average of exhaustive thresholds arrived at through multiple prior
 /// runs over all the datasets"); pass 2 computes the estimates and times.
-/// `Build` constructs a problem for a spec; `Estimate` runs the sampling
-/// framework; `Exhaust` runs the oracle.
-template <typename Problem, typename Build, typename Estimate,
-          typename Exhaust>
-std::vector<CaseResult> run_suite(const std::vector<datasets::DatasetSpec>& specs,
-                                  const hetsim::Platform& platform,
-                                  const Build& build,
-                                  const Estimate& estimate,
-                                  const Exhaust& exhaust, bool relative_diff) {
+/// Each pass rebuilds the problem through the workload registry rather
+/// than holding every input at once.
+std::vector<CaseResult> run_suite(
+    Workload workload, const std::vector<datasets::DatasetSpec>& specs,
+    const hetsim::Platform& platform, const SuiteOptions& options) {
   obs::Span suite_span("suite");
+  const core::SamplingConfig cfg = core::sampling_config(
+      workload, options.sampling_seed, options.repeats);
   std::vector<double> optima(specs.size());
   std::vector<core::ExhaustiveResult> oracle(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     obs::Span span("suite.exhaustive");
-    const Problem problem = build(specs[i]);
-    oracle[i] = exhaust(problem);
+    oracle[i] = visit_workload(
+        workload, specs[i], options, platform,
+        [](const auto& problem, const auto&, const auto& exhaust) {
+          return exhaust(problem);
+        });
     optima[i] = oracle[i].best_threshold;
     log_debug(strfmt("exhaustive %s: t=%.1f", specs[i].name.c_str(),
                      optima[i]));
@@ -106,54 +123,13 @@ std::vector<CaseResult> run_suite(const std::vector<datasets::DatasetSpec>& spec
     obs::Span case_span("suite.case");
     log_debug(strfmt("estimating %s (%zu/%zu)", specs[i].name.c_str(),
                      i + 1, specs.size()));
-    const Problem problem = build(specs[i]);
-    CaseResult r;
+    CaseResult r = visit_workload(
+        workload, specs[i], options, platform,
+        [&](const auto& problem, const auto& extrapolate, const auto&) {
+          return estimate_case(problem, extrapolate, cfg, platform,
+                               oracle[i], naive_avg);
+        });
     r.dataset = specs[i].name;
-    r.exhaustive_threshold = optima[i];
-    r.exhaustive_ns = oracle[i].best_time_ns;
-
-    const core::PartitionEstimate est = estimate(problem);
-    r.estimated_threshold = est.threshold;
-    r.sample_threshold = est.sample_threshold;
-    r.estimation_cost_ns = est.estimation_cost_ns;
-    r.evaluations = est.evaluations;
-    r.estimated_ns = problem.time_ns(est.threshold);
-
-    r.naive_average_threshold =
-        std::clamp(naive_avg, problem.threshold_lo(), problem.threshold_hi());
-    r.naive_average_ns = problem.time_ns(r.naive_average_threshold);
-
-    if constexpr (requires { problem.threshold_for_work_share(0.5); }) {
-      // HH: map the FLOPS ratio to a heavy-row work share.
-      r.naive_static_threshold = problem.threshold_for_work_share(
-          core::naive_static_cpu_share_pct(platform) / 100.0);
-      r.gpu_only_ns = problem.time_ns(problem.threshold_hi());
-      if constexpr (requires { problem.a(); }) {
-        r.n = problem.a().rows();
-        r.nnz = problem.a().nnz();
-      }
-    } else {
-      r.naive_static_threshold = core::naive_static_cpu_share_pct(platform);
-      r.gpu_only_ns = problem.time_ns(0.0);
-      if constexpr (requires { problem.input(); }) {
-        r.n = problem.input().num_vertices();
-        r.nnz = problem.input().num_edges();
-      } else if constexpr (requires { problem.a(); }) {
-        r.n = problem.a().rows();
-        r.nnz = problem.a().nnz();
-      }
-    }
-    r.naive_static_ns = problem.time_ns(r.naive_static_threshold);
-
-    r.threshold_diff_pct =
-        relative_diff
-            ? 100.0 * std::abs(r.estimated_threshold - r.exhaustive_threshold) /
-                  std::max(1.0, r.exhaustive_threshold)
-            : std::abs(r.estimated_threshold - r.exhaustive_threshold);
-    r.time_diff_pct =
-        100.0 * (r.estimated_ns - r.exhaustive_ns) / r.exhaustive_ns;
-    r.overhead_pct = 100.0 * r.estimation_cost_ns /
-                     (r.estimation_cost_ns + r.estimated_ns);
     log_debug(strfmt("%s: estimated t=%.1f vs exhaustive t=%.1f "
                      "(slowdown %.2f%%, overhead %.2f%%)",
                      r.dataset.c_str(), r.estimated_threshold,
@@ -162,6 +138,19 @@ std::vector<CaseResult> run_suite(const std::vector<datasets::DatasetSpec>& spec
     results.push_back(std::move(r));
   }
   return results;
+}
+
+/// Rows (spmm) or sqrt(n)-scaled vertices/rows (CC, HH) a sample of
+/// factor `f` draws.
+template <typename P>
+uint64_t sample_size_of(const P& problem, double f) {
+  if constexpr (requires { problem.sample_rows(f); }) {
+    return problem.sample_rows(f);
+  } else if constexpr (requires { problem.sample_size(f); }) {
+    return problem.sample_size(f);
+  } else {
+    throw Error("sensitivity study: workload reports no sample size");
+  }
 }
 
 }  // namespace
@@ -196,60 +185,19 @@ sparse::CsrMatrix load_matrix(const datasets::DatasetSpec& spec,
 
 std::vector<CaseResult> run_cc_suite(const hetsim::Platform& platform,
                                      const SuiteOptions& options) {
-  const auto specs = datasets::cc_datasets();
-  const auto cfg = cc_config(options);
-  return run_suite<hetalg::HeteroCc>(
-      specs, platform,
-      [&](const datasets::DatasetSpec& spec) {
-        return hetalg::HeteroCc(load_graph(spec, options), platform);
-      },
-      [&](const hetalg::HeteroCc& p) {
-        return core::estimate_partition(p, cfg);
-      },
-      [](const hetalg::HeteroCc& p) { return core::exhaustive_search(p, 1.0); },
-      /*relative_diff=*/false);
+  return run_suite(Workload::kCc, datasets::cc_datasets(), platform, options);
 }
 
 std::vector<CaseResult> run_spmm_suite(const hetsim::Platform& platform,
                                        const SuiteOptions& options) {
-  const auto specs = datasets::spmm_datasets();
-  const auto cfg = spmm_config(options);
-  return run_suite<hetalg::HeteroSpmm>(
-      specs, platform,
-      [&](const datasets::DatasetSpec& spec) {
-        return hetalg::HeteroSpmm(load_matrix(spec, options), platform);
-      },
-      [&](const hetalg::HeteroSpmm& p) {
-        return core::estimate_partition(p, cfg);
-      },
-      [](const hetalg::HeteroSpmm& p) {
-        return core::exhaustive_search(p, 1.0);
-      },
-      /*relative_diff=*/false);
+  return run_suite(Workload::kSpmm, datasets::spmm_datasets(), platform,
+                   options);
 }
 
 std::vector<CaseResult> run_hh_suite(const hetsim::Platform& platform,
                                      const SuiteOptions& options) {
-  const auto specs = datasets::scale_free_datasets();
-  const auto cfg = hh_config(options);
-  return run_suite<hetalg::HeteroSpmmHh>(
-      specs, platform,
-      [&](const datasets::DatasetSpec& spec) {
-        return hetalg::HeteroSpmmHh(load_matrix(spec, options), platform);
-      },
-      [&](const hetalg::HeteroSpmmHh& p) {
-        return core::estimate_partition(
-            p, cfg,
-            [](const hetalg::HeteroSpmmHh& full,
-               const hetalg::HeteroSpmmHh& sample, double ts) {
-              return core::work_share_extrapolate(full, sample, ts);
-            });
-      },
-      [](const hetalg::HeteroSpmmHh& p) {
-        const auto candidates = p.candidate_thresholds(192);
-        return core::exhaustive_search_over(p, candidates);
-      },
-      /*relative_diff=*/true);
+  return run_suite(Workload::kHh, datasets::scale_free_datasets(), platform,
+                   options);
 }
 
 std::vector<DenseResult> run_dense_study(const hetsim::Platform& platform,
@@ -264,9 +212,8 @@ std::vector<DenseResult> run_dense_study(const hetsim::Platform& platform,
     const auto ex = core::exhaustive_search(problem, 1.0);
     r.exhaustive_threshold = ex.best_threshold;
     r.exhaustive_ns = ex.best_time_ns;
-    core::SamplingConfig cfg;
+    core::SamplingConfig cfg;  // coarse-to-fine on a quarter-size sample
     cfg.sample_factor = 0.25;
-    cfg.method = core::IdentifyMethod::kCoarseToFine;
     const auto est = core::estimate_partition(problem, cfg);
     r.estimated_threshold = est.threshold;
     r.estimated_ns = problem.time_ns(est.threshold);
@@ -297,43 +244,18 @@ std::vector<SensitivityPoint> run_sensitivity(
                      est.threshold, p.total_ns / 1e6));
     out.push_back(p);
   };
-  switch (workload) {
-    case Workload::kCc: {
-      hetalg::HeteroCc problem(load_graph(spec, options), platform);
-      for (double f : factors) {
-        auto cfg = cc_config(options);
-        cfg.sample_factor = f;
-        const auto est = core::estimate_partition(problem, cfg);
-        push(f, problem.sample_size(f), est, problem.time_ns(est.threshold));
-      }
-      break;
-    }
-    case Workload::kSpmm: {
-      hetalg::HeteroSpmm problem(load_matrix(spec, options), platform);
-      for (double f : factors) {
-        auto cfg = spmm_config(options);
-        cfg.sample_factor = f;
-        const auto est = core::estimate_partition(problem, cfg);
-        push(f, problem.sample_rows(f), est, problem.time_ns(est.threshold));
-      }
-      break;
-    }
-    case Workload::kHh: {
-      hetalg::HeteroSpmmHh problem(load_matrix(spec, options), platform);
-      for (double f : factors) {
-        auto cfg = hh_config(options);
-        cfg.sample_factor = f;
-        const auto est = core::estimate_partition(
-            problem, cfg,
-            [](const hetalg::HeteroSpmmHh& full,
-               const hetalg::HeteroSpmmHh& sample, double ts) {
-              return core::work_share_extrapolate(full, sample, ts);
-            });
-        push(f, problem.sample_size(f), est, problem.time_ns(est.threshold));
-      }
-      break;
-    }
-  }
+  visit_workload(
+      workload, spec, options, platform,
+      [&](const auto& problem, const auto& extrapolate, const auto&) {
+        for (double f : factors) {
+          auto cfg = core::sampling_config(workload, options.sampling_seed,
+                                           options.repeats);
+          cfg.sample_factor = f;
+          const auto est = core::estimate_partition(problem, cfg, extrapolate);
+          push(f, sample_size_of(problem, f), est,
+               problem.time_ns(est.threshold));
+        }
+      });
   return out;
 }
 
@@ -341,7 +263,7 @@ std::vector<RandomnessPoint> run_randomness_study(
     const hetsim::Platform& platform, const datasets::DatasetSpec& spec,
     const SuiteOptions& options) {
   hetalg::HeteroSpmm problem(load_matrix(spec, options), platform);
-  const auto ex = core::exhaustive_search(problem, 1.0);
+  const auto ex = grid_oracle(problem);
 
   std::vector<RandomnessPoint> out;
   auto record = [&](const std::string& label, double threshold) {
@@ -357,7 +279,8 @@ std::vector<RandomnessPoint> run_randomness_study(
   };
 
   {
-    const auto cfg = spmm_config(options);
+    const auto cfg = core::sampling_config(
+        Workload::kSpmm, options.sampling_seed, options.repeats);
     const auto est = core::estimate_partition(problem, cfg);
     record("random", est.threshold);
   }

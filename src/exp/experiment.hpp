@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/sampling_partitioner.hpp"
+#include "core/workloads.hpp"
 #include "datasets/table2.hpp"
 #include "hetsim/platform.hpp"
 
@@ -102,7 +103,7 @@ struct SensitivityPoint {
   double run_ns = 0;        ///< algorithm at the estimated threshold
   double total_ns = 0;
 };
-enum class Workload { kCc, kSpmm, kHh };
+using core::Workload;
 std::vector<SensitivityPoint> run_sensitivity(
     const hetsim::Platform& platform, Workload workload,
     const datasets::DatasetSpec& spec, std::vector<double> factors,

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/workloads.hpp"
+#include "util/error.hpp"
 #include "util/strfmt.hpp"
 
 namespace nbwp::serve {
@@ -29,10 +31,6 @@ bool parse_u64(const std::string& value, uint64_t* out) {
 bool same_request(const BatchEntry& a, const BatchEntry& b) {
   return a.workload == b.workload && a.dataset == b.dataset &&
          a.scale == b.scale && a.seed == b.seed;
-}
-
-bool known_workload(const std::string& w) {
-  return w == "cc" || w == "spmm" || w == "hh" || w == "spmv";
 }
 
 }  // namespace
@@ -93,11 +91,12 @@ BatchManifest parse_batch_manifest_stream(std::istream& in) {
       const std::string key = token.substr(0, eq);
       const std::string value = token.substr(eq + 1);
       if (key == "workload") {
-        if (known_workload(value))
+        try {
+          core::parse_workload(value);
           entry.workload = value;
-        else
-          defect(ManifestErrorKind::kBadValue,
-                 "unknown workload '" + value + "' (cc|spmm|hh|spmv)");
+        } catch (const Error& e) {
+          defect(ManifestErrorKind::kBadValue, e.what());
+        }
       } else if (key == "dataset") {
         if (value.empty())
           defect(ManifestErrorKind::kBadValue, "dataset= wants a name");

@@ -190,13 +190,14 @@ class PlanService {
 
 /// Bind a problem to a PlanRequest.  The problem is moved into the
 /// closure (requests own their inputs, so a batch can outlive the
-/// loader's locals).  `rich_extrapolate` has the estimate_partition rich
-/// signature (full, sample, t_sample) -> t_full.
-template <core::PartitionProblem P, typename ExtrapolateFn>
+/// loader's locals).  `extrapolate` has estimate_partition's signature
+/// (full, sample, t_sample) -> t_full.
+template <core::PartitionProblem P,
+          typename ExtrapolateFn = core::IdentityExtrapolate>
   requires std::invocable<ExtrapolateFn, const P&, const P&, double>
 PlanRequest make_plan_request(std::string id, std::string algorithm,
                               P problem, core::RobustConfig config,
-                              ExtrapolateFn rich_extrapolate) {
+                              ExtrapolateFn extrapolate = {}) {
   PlanRequest req;
   req.id = std::move(id);
   req.algorithm = std::move(algorithm);
@@ -208,7 +209,7 @@ PlanRequest make_plan_request(std::string id, std::string algorithm,
   req.platform_key = platform_key_of(core::detail::platform_of(problem));
   req.solve = [problem = std::make_shared<const P>(std::move(problem)),
                config = std::move(config),
-               rich_extrapolate = std::move(rich_extrapolate)](
+               extrapolate = std::move(extrapolate)](
                   const SolveOptions& opts) {
     core::RobustConfig cfg = config;
     cfg.sampling.warm_start_cpu_share = opts.warm_cpu_share;
@@ -226,7 +227,7 @@ PlanRequest make_plan_request(std::string id, std::string algorithm,
               : opts.identify_deadline_ns;
     }
     const core::RobustEstimate est =
-        core::robust_estimate_partition(*problem, cfg, rich_extrapolate);
+        core::robust_estimate_partition(*problem, cfg, extrapolate);
     PlanOutcome out;
     out.threshold = est.threshold;
     out.objective_ns = problem->time_ns(est.threshold);
@@ -239,19 +240,6 @@ PlanRequest make_plan_request(std::string id, std::string algorithm,
     return out;
   };
   return req;
-}
-
-/// Scalar-extrapolation convenience overload (mirrors estimate_partition).
-template <core::PartitionProblem P>
-PlanRequest make_plan_request(std::string id, std::string algorithm,
-                              P problem, core::RobustConfig config) {
-  auto scalar = [extrapolate = config.sampling.extrapolate](
-                    const P&, const P&, double t_sample) {
-    return extrapolate ? extrapolate(t_sample) : t_sample;
-  };
-  return make_plan_request(std::move(id), std::move(algorithm),
-                           std::move(problem), std::move(config),
-                           std::move(scalar));
 }
 
 }  // namespace nbwp::serve

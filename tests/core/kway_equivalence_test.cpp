@@ -92,12 +92,13 @@ TEST(KwayEquivalence, SpmvTwoWayMatchesScalarPipeline) {
                             CostObjective::kBalanced);
 }
 
-TEST(KwayEquivalence, UnguardedTwoWayMatchesEstimatePartition) {
+TEST(KwayEquivalence, SampledTwoWayMatchesEstimatePartition) {
   const auto problem = spmm_problem(plat());
   SamplingConfig scfg = sampled_config().sampling;
   const PartitionEstimate scalar = estimate_partition(problem, scfg);
   const KwayEstimate kway =
-      estimate_partition_kway(problem, two_way_config());
+      robust_estimate_partition_kway(problem, two_way_config());
+  ASSERT_EQ(kway.stage, FallbackStage::kSampled);
   EXPECT_DOUBLE_EQ(kway.threshold, scalar.threshold);
   EXPECT_EQ(kway.evaluations, scalar.evaluations);
   EXPECT_DOUBLE_EQ(kway.estimation_cost_ns, scalar.estimation_cost_ns);

@@ -82,8 +82,9 @@ TEST(Partitioner, ScalarExtrapolationApplied) {
   const ToyProblem problem(1e6, 1.0, 1.0);  // optimum 50
   SamplingConfig cfg;
   cfg.timing_noise_ns = 0;
-  cfg.extrapolate = [](double t) { return t / 2.0; };
-  const PartitionEstimate est = estimate_partition(problem, cfg);
+  const PartitionEstimate est = estimate_partition(
+      problem, cfg,
+      [](const ToyProblem&, const ToyProblem&, double t) { return t / 2.0; });
   EXPECT_NEAR(est.threshold, 25.0, 2.0);
   EXPECT_NEAR(est.sample_threshold, 50.0, 2.0);
 }
@@ -121,8 +122,9 @@ TEST(Partitioner, EstimateClampedToRange) {
   const ToyProblem problem(1e6, 1.0, 1.0);
   SamplingConfig cfg;
   cfg.timing_noise_ns = 0;
-  cfg.extrapolate = [](double) { return 1e9; };
-  const PartitionEstimate est = estimate_partition(problem, cfg);
+  const PartitionEstimate est = estimate_partition(
+      problem, cfg,
+      [](const ToyProblem&, const ToyProblem&, double) { return 1e9; });
   EXPECT_DOUBLE_EQ(est.threshold, 100.0);
 }
 

@@ -209,6 +209,48 @@ TEST(HeteroSpmmKway, DeadGpuDegradesToAllCpuDescriptor) {
   EXPECT_EQ(c, sparse::spgemm(a, a));
 }
 
+TEST(HeteroSpmmKway, RaceStartSkipsToThroughputSharesAtFourWay) {
+  // The race stage is inherently two-device: a K = 4 chain asked to start
+  // there goes straight to naive static, spending nothing.
+  const hetsim::Platform platform = accel_platform(2);
+  const HeteroSpmm problem(test_matrix(), platform);
+  core::KwayConfig cfg = four_way_config();
+  cfg.robust.start_stage = core::FallbackStage::kRace;
+  const core::KwayEstimate est =
+      core::robust_estimate_partition_kway(problem, cfg);
+  EXPECT_EQ(est.stage, core::FallbackStage::kNaiveStatic);
+  EXPECT_TRUE(est.reason.empty());
+  EXPECT_EQ(est.evaluations, 0);
+  EXPECT_EQ(est.descriptor,
+            PartitionDescriptor::from_weights(platform.device_ops_per_s(4)));
+}
+
+TEST(HeteroSpmmKway, EmptyMatrixIsDegenerateInputAtFourWay) {
+  const hetsim::Platform platform = accel_platform(2);
+  const HeteroSpmm problem(CsrMatrix(0, 0), platform);
+  const core::KwayEstimate est =
+      core::robust_estimate_partition_kway(problem, four_way_config());
+  EXPECT_EQ(est.stage, core::FallbackStage::kNaiveStatic);
+  EXPECT_EQ(est.reason, "degenerate_input");
+  EXPECT_EQ(est.evaluations, 0);
+  EXPECT_EQ(est.descriptor,
+            PartitionDescriptor::from_weights(platform.device_ops_per_s(4)));
+}
+
+TEST(HeteroSpmmKway, HardFaultDuringSampledSearchFallsBackToAllCpu) {
+  // gpu-hard@0 kills the GPU at its first kernel: the GPU is not yet known
+  // dead when estimation starts, so the first sampled probe faults and the
+  // chain falls to naive static, which by then sees the dead GPU.
+  hetsim::Platform platform = accel_platform(2);
+  platform.set_fault_plan(hetsim::FaultPlan::parse("gpu-hard@0"));
+  const HeteroSpmm problem(test_matrix(), platform);
+  const core::KwayEstimate est =
+      core::robust_estimate_partition_kway(problem, four_way_config());
+  EXPECT_EQ(est.stage, core::FallbackStage::kNaiveStatic);
+  EXPECT_EQ(est.reason, "device_fault");
+  EXPECT_EQ(est.descriptor, PartitionDescriptor::all_cpu(4));
+}
+
 TEST(HeteroSpmmKway, OffloadRangesRerouteOnPersistentFault) {
   hetsim::Platform platform = accel_platform(2);
   platform.set_fault_plan(hetsim::FaultPlan::parse("gpu-hard@0"));
