@@ -140,16 +140,14 @@ std::vector<CaseResult> run_suite(
   return results;
 }
 
-/// Rows (spmm) or sqrt(n)-scaled vertices/rows (CC, HH) a sample of
-/// factor `f` draws.
+/// Rows (spmm, spmv) or sqrt(n)-scaled vertices/rows (CC, HH) a sample
+/// of factor `f` draws.  Every registered workload reports one.
 template <typename P>
 uint64_t sample_size_of(const P& problem, double f) {
   if constexpr (requires { problem.sample_rows(f); }) {
     return problem.sample_rows(f);
-  } else if constexpr (requires { problem.sample_size(f); }) {
-    return problem.sample_size(f);
   } else {
-    throw Error("sensitivity study: workload reports no sample size");
+    return problem.sample_size(f);
   }
 }
 

@@ -96,7 +96,7 @@ std::vector<DenseResult> run_dense_study(const hetsim::Platform& platform,
 /// Figs. 4 / 6 / 9 — sample-size sensitivity: total time (estimation +
 /// Phase II at the estimated threshold) per sample-size factor.
 struct SensitivityPoint {
-  double factor = 0;        ///< of sqrt(n) (CC, HH) or of n (spmm)
+  double factor = 0;        ///< of sqrt(n) (CC, HH) or of n (spmm, spmv)
   uint64_t sample_size = 0; ///< vertices or rows actually sampled
   double estimated_threshold = 0;
   double estimation_cost_ns = 0;

@@ -5,7 +5,7 @@
 
 #include "hetalg/gpu_guard.hpp"
 #include "hetsim/work_profile.hpp"
-#include "sparse/row_subset.hpp"
+#include "obs/span.hpp"
 #include "sparse/sampling.hpp"
 #include "sparse/spgemm.hpp"
 #include "util/error.hpp"
@@ -223,61 +223,45 @@ hetsim::RunReport HeteroSpmmHh::run(double t_cutoff,
   const HhStructure s = structure_at(t_cutoff);
   const HhTimes times = hh_times(*platform_, s);
 
-  // Phase I (executed): classify rows.
-  std::vector<Index> ids_h, ids_l;
+  // Phase I (executed): classify rows.  B = A, so one mask classes both
+  // the rows of A and the rows of B they reference.
   std::vector<uint8_t> mask(n, 0);
-  for (Index r = 0; r < n; ++r) {
-    if (static_cast<double>(degree_[r]) > t_cutoff) {
-      mask[r] = 1;
-      ids_h.push_back(r);
-    } else {
-      ids_l.push_back(r);
+  {
+    obs::Span span("hetalg.hh.classify");
+    for (Index r = 0; r < n; ++r)
+      mask[r] = static_cast<double>(degree_[r]) > t_cutoff ? 1 : 0;
+  }
+
+  // The two GPU products ("hh.ll", then "hh.lh") are gated through the
+  // fault injector.  A gate only decides what its product is charged —
+  // a rerouted product computes the same bits at CPU cost — so both are
+  // decided up front, in Phase II / III order, and the one pass below
+  // computes all four products for whichever device each landed on.
+  bool ll_on_gpu = true, lh_on_gpu = true;
+  {
+    obs::Span span("hetalg.hh.gates");
+    if (s.rows_l > 0) {
+      const auto computed_in_one_pass = [] {};
+      ll_on_gpu = run_gpu_or_reroute(*platform_, "hh.ll", times.gpu2_ns(),
+                                     computed_in_one_pass);
+      lh_on_gpu = run_gpu_or_reroute(*platform_, "hh.lh", times.gpu3_ns(),
+                                     computed_in_one_pass);
     }
   }
-  CsrMatrix a_h = sparse::extract_rows(a_, ids_h);
-  CsrMatrix a_l = sparse::extract_rows(a_, ids_l);
 
-  // Phases II + III (executed): the four masked partial products run on
-  // the work-balanced parallel kernel (bit-identical to the serial one,
-  // which small sampled instances still fall back to).  The two GPU
-  // products are gated through the fault injector; rerouted products are
-  // computed by the same kernel and charged at CPU cost.
-  ThreadPool& pool = ThreadPool::global();
-  sparse::SpgemmCounters hh, hl, ll, lh;
-  CsrMatrix c_hh = sparse::spgemm_parallel_masked(a_h, a_, pool, mask, 1,
-                                                  &hh);
-  CsrMatrix c_ll, c_lh;
-  bool ll_on_gpu = true, lh_on_gpu = true;
-  auto ll_kernel = [&] {
-    c_ll = sparse::spgemm_parallel_masked(a_l, a_, pool, mask, 0, &ll);
-  };
-  auto lh_kernel = [&] {
-    c_lh = sparse::spgemm_parallel_masked(a_l, a_, pool, mask, 1, &lh);
-  };
-  if (s.rows_l > 0) {
-    ll_on_gpu =
-        run_gpu_or_reroute(*platform_, "hh.ll", times.gpu2_ns(), ll_kernel);
-  } else {
-    ll_kernel();
-  }
-  CsrMatrix c_hl = sparse::spgemm_parallel_masked(a_h, a_, pool, mask, 0,
-                                                  &hl);
-  if (s.rows_l > 0) {
-    lh_on_gpu =
-        run_gpu_or_reroute(*platform_, "hh.lh", times.gpu3_ns(), lh_kernel);
-  } else {
-    lh_kernel();
-  }
-  NBWP_REQUIRE(hh.multiplies == s.cpu2.multiplies &&
-                   hl.multiplies == s.cpu3.multiplies &&
-                   ll.multiplies == s.gpu2.multiplies &&
-                   lh.multiplies == s.gpu3.multiplies,
+  // Phases II-IV (executed): the four partial products A_H x B_H,
+  // A_H x B_L, A_L x B_L and A_L x B_H, combined, in one work-balanced pass
+  // over the input rows: each output entry sums its B_H and B_L products
+  // separately and adds them at extraction, bitwise as the separate
+  // products added with sp_add would.
+  sparse::SpgemmClassCounters work;
+  CsrMatrix c =
+      sparse::spgemm_parallel_two_class(a_, ThreadPool::global(), mask, &work);
+  NBWP_REQUIRE(work.by[1][1].multiplies == s.cpu2.multiplies &&
+                   work.by[1][0].multiplies == s.cpu3.multiplies &&
+                   work.by[0][0].multiplies == s.gpu2.multiplies &&
+                   work.by[0][1].multiplies == s.gpu3.multiplies,
                "executed work disagrees with the structural sweep");
-
-  // Phase IV (executed): combine and scatter back to the input row order.
-  CsrMatrix c_h = sparse::sp_add(c_hh, c_hl);
-  CsrMatrix c_l = sparse::sp_add(c_ll, c_lh);
-  CsrMatrix c = sparse::scatter_rows(n, ids_h, c_h, ids_l, c_l);
 
   hetsim::RunReport report;
   report.add_phase("phase1", times.phase1_ns);

@@ -77,11 +77,14 @@ class HeteroSpmmHh {
   /// Execute Algorithm 3 at cutoff t.  Counters: "c_nnz", "rows_h",
   /// "cpu_work_ns", "gpu_work_ns".
   ///
-  /// The two GPU products ("hh.ll", "hh.lh") are gated through the
-  /// platform's fault injector (hetalg/gpu_guard.hpp); persistent faults
-  /// reroute them to the CPU ("phase2.reroute" / "phase3.reroute" phases,
-  /// "gpu_rerouted" counter) with an identical product.  `c_out`, when
-  /// non-null, receives C.
+  /// The report charges the four phases of the model; the product itself
+  /// is computed in one pass (sparse::spgemm_parallel_two_class), bitwise
+  /// equal to running the four partial products and combining them.  The
+  /// two GPU products ("hh.ll", "hh.lh") are gated through the platform's
+  /// fault injector (hetalg/gpu_guard.hpp) before that pass; persistent
+  /// faults reroute them to the CPU ("phase2.reroute" / "phase3.reroute"
+  /// phases, "gpu_rerouted" counter) with an identical product.  `c_out`,
+  /// when non-null, receives C.
   hetsim::RunReport run(double t_cutoff,
                         sparse::CsrMatrix* c_out = nullptr) const;
 

@@ -130,12 +130,17 @@ hetsim::RunReport HeteroSpmv::run(double r_cpu_pct) const {
   return report;
 }
 
-HeteroSpmv HeteroSpmv::make_sample(double frac, Rng& rng) const {
+Index HeteroSpmv::sample_size(double frac) const {
   NBWP_REQUIRE(frac > 0.0 && frac <= 1.0, "sample fraction out of range");
-  const auto k_rows = std::clamp<Index>(
-      static_cast<Index>(std::llround(frac * a_.rows())), 2, a_.rows());
+  return std::clamp<Index>(static_cast<Index>(std::llround(frac * a_.rows())),
+                           std::min<Index>(2, a_.rows()), a_.rows());
+}
+
+HeteroSpmv HeteroSpmv::make_sample(double frac, Rng& rng) const {
+  const Index k_rows = sample_size(frac);
   const auto k_cols = std::clamp<Index>(
-      static_cast<Index>(std::llround(frac * a_.cols())), 2, a_.cols());
+      static_cast<Index>(std::llround(frac * a_.cols())),
+      std::min<Index>(2, a_.cols()), a_.cols());
   const auto rows = sample_without_replacement(a_.rows(), k_rows, rng);
   const auto cols = sample_without_replacement(a_.cols(), k_cols, rng);
   std::vector<Index> row_ids(rows.begin(), rows.end());

@@ -40,7 +40,11 @@ class HeteroSpmv {
   double balance_ns(double r_cpu_pct) const;
   std::pair<double, double> device_times_all() const;
 
+  /// Sample step: a uniformly random submatrix of sample_size(frac) rows
+  /// and round(frac * cols) columns (at least 2 of each).
   HeteroSpmv make_sample(double frac, Rng& rng) const;
+  /// Rows make_sample(frac) draws: round(frac * rows), at least 2.
+  sparse::Index sample_size(double frac) const;
   double sampling_cost_ns(double frac) const;
   sparse::Index split_row(double r_cpu_pct) const;
 

@@ -6,6 +6,19 @@
 
 namespace nbwp::sparse {
 
+namespace {
+
+/// floor(total * p / parts) for p <= parts, exact for any 64-bit total:
+/// the product needs 128 bits.  `unsigned __int128` is a GCC/Clang
+/// extension, not ISO C++; `__extension__` marks this one use as
+/// deliberate, so -Wpedantic stays quiet about it and about nothing else.
+uint64_t share_of(uint64_t total, unsigned p, unsigned parts) {
+  __extension__ typedef unsigned __int128 Wide;
+  return static_cast<uint64_t>(static_cast<Wide>(total) * p / parts);
+}
+
+}  // namespace
+
 std::vector<uint64_t> row_nnz_vector(const CsrMatrix& b) {
   std::vector<uint64_t> v(b.rows());
   for (Index r = 0; r < b.rows(); ++r) v[r] = b.row_nnz(r);
@@ -99,8 +112,7 @@ std::vector<Index> balanced_boundaries(std::span<const uint64_t> load_prefix,
       b = first + static_cast<Index>(static_cast<uint64_t>(last - first) *
                                      p / parts);
     } else {
-      const auto target = base + static_cast<uint64_t>(
-          static_cast<unsigned __int128>(total) * p / parts);
+      const auto target = base + share_of(total, p, parts);
       b = first + split_row_for_load(range, target);
     }
     bounds[p] = std::max(b, bounds[p - 1]);

@@ -34,6 +34,10 @@ struct SpgemmWorkspace {
   Spa spa;
   HashAccum hash;
   PatternBitmap bitmap;
+  /// The two-class kernel's class 1 accumulators (class 0 uses `spa` /
+  /// `hash`).
+  Spa spa1;
+  HashAccum hash1;
 
   size_t capacity_bytes() const { return arena.capacity_bytes(); }
 };
@@ -387,6 +391,149 @@ CsrMatrix spgemm_parallel_impl(const CsrMatrix& a, const CsrMatrix& b,
                                std::move(col_idx), std::move(values));
 }
 
+// ---- Two-class product ----------------------------------------------------
+
+/// One worker's two-class scratch: each class's sorted row, for the merge
+/// of a row both classes contribute to.
+struct TwoClassScratch {
+  std::vector<Index> cols[2];
+  std::vector<double> vals[2];
+};
+
+/// Accumulate A's row i times A, routing each a_ik * (row k) into the
+/// accumulator of row k's class (each class in A's row order, so each
+/// holds the bits the class's masked product would).
+template <typename Acc>
+void accumulate_two_class_row(const CsrMatrix& a,
+                              std::span<const uint8_t> row_mask, Index i,
+                              Acc* const acc[2], SpgemmCounters by_class[2]) {
+  const auto acs = a.row_cols(i);
+  const auto avs = a.row_vals(i);
+  for (size_t j = 0; j < acs.size(); ++j) {
+    const Index k = acs[j];
+    const size_t y = row_mask[k] != 0;
+    const double aik = avs[j];
+    const auto bcs = a.row_cols(k);
+    const auto bvs = a.row_vals(k);
+    Acc& into = *acc[y];
+    for (size_t t = 0; t < bcs.size(); ++t) into.add(bcs[t], aik * bvs[t]);
+    by_class[y].multiplies += bcs.size();
+  }
+}
+
+/// Write the union of two sorted rows, adding a column both hold as
+/// `first + second`; returns the entries written.  This is sp_add's row
+/// rule, which the two-class extraction reproduces bitwise.
+size_t merge_sorted_rows(std::span<const Index> c_first,
+                         std::span<const double> v_first,
+                         std::span<const Index> c_second,
+                         std::span<const double> v_second, Index* col_out,
+                         double* val_out) {
+  size_t i = 0, j = 0, o = 0;
+  while (i < c_first.size() || j < c_second.size()) {
+    if (j >= c_second.size() ||
+        (i < c_first.size() && c_first[i] < c_second[j])) {
+      col_out[o] = c_first[i];
+      val_out[o++] = v_first[i++];
+    } else if (i >= c_first.size() || c_second[j] < c_first[i]) {
+      col_out[o] = c_second[j];
+      val_out[o++] = v_second[j++];
+    } else {
+      col_out[o] = c_first[i];
+      val_out[o++] = v_first[i++] + v_second[j++];
+    }
+  }
+  return o;
+}
+
+/// Fill one output row from its two class accumulators, the class `x` of
+/// the row itself first.  A row one class alone contributes to is extracted straight
+/// into its slot; otherwise both go through `scratch` and merge.
+template <typename Acc>
+void extract_two_class_row(Acc* const acc[2], size_t x,
+                           TwoClassScratch& scratch, Index* col_out,
+                           double* val_out, SpgemmCounters by_class[2]) {
+  const size_t n[2] = {acc[0]->touched(), acc[1]->touched()};
+  by_class[0].c_nnz += n[0];
+  by_class[1].c_nnz += n[1];
+  if (n[0] == 0 || n[1] == 0) {
+    acc[n[0] == 0 ? 1 : 0]->extract_sorted(col_out, val_out);
+    return;
+  }
+  for (size_t y = 0; y < 2; ++y) {
+    if (scratch.cols[y].size() < n[y]) {
+      scratch.cols[y].resize(n[y]);
+      scratch.vals[y].resize(n[y]);
+    }
+    acc[y]->extract_sorted(scratch.cols[y].data(), scratch.vals[y].data());
+  }
+  const size_t f = x, s = 1 - x;
+  merge_sorted_rows({scratch.cols[f].data(), n[f]},
+                   {scratch.vals[f].data(), n[f]},
+                   {scratch.cols[s].data(), n[s]},
+                   {scratch.vals[s].data(), n[s]}, col_out, val_out);
+}
+
+/// Whole-product counters of a two-class pass: each row counted once,
+/// `nnz` entries produced.
+SpgemmCounters product_totals(const SpgemmClassCounters& c, uint64_t nnz) {
+  SpgemmCounters total;
+  for (const auto& row_class : c.by) {
+    total.rows += row_class[0].rows;
+    total.a_nnz += row_class[0].a_nnz;
+    total.rows_spa += row_class[0].rows_spa;
+    total.rows_hash += row_class[0].rows_hash;
+    total.multiplies += row_class[0].multiplies + row_class[1].multiplies;
+  }
+  total.c_nnz = nnz;
+  return total;
+}
+
+/// Two-class numeric pass over rows [lo, hi), into the slots sized by the
+/// unmasked symbolic pass.  Both class accumulators of a row take the
+/// row's route (the union's exact nnz bounds each class).
+void numeric_two_class_rows(const CsrMatrix& a,
+                            std::span<const uint8_t> row_mask, Index lo,
+                            Index hi, SpgemmWorkspace& ws,
+                            const AccumRouter& router,
+                            std::span<const uint64_t> row_ptr,
+                            const Index* row_span, Index* col_out,
+                            double* val_out, SpgemmClassCounters& local) {
+  TwoClassScratch scratch;
+  HashAccum* const hash[2] = {&ws.hash, &ws.hash1};
+  Spa* const spa[2] = {&ws.spa, &ws.spa1};
+  for (Index i = lo; i < hi; ++i) {
+    const uint64_t at = row_ptr[i];
+    const uint64_t row_nnz = row_ptr[i + 1] - at;
+    const size_t x = row_mask[i] != 0;
+    SpgemmCounters* by_class = local.by[x];
+    const bool use_hash =
+        router.use_hash_numeric(row_nnz, row_span ? row_span[i] : 0);
+    if (use_hash) {
+      for (HashAccum* h : hash) {
+        h->ensure(ws.arena, row_nnz);
+        h->start_row();
+      }
+      accumulate_two_class_row(a, row_mask, i, hash, by_class);
+      extract_two_class_row(hash, x, scratch, col_out + at, val_out + at,
+                            by_class);
+    } else {
+      for (Spa* sp : spa) {
+        sp->ensure(ws.arena, a.cols());
+        sp->start_row();
+      }
+      accumulate_two_class_row(a, row_mask, i, spa, by_class);
+      extract_two_class_row(spa, x, scratch, col_out + at, val_out + at,
+                            by_class);
+    }
+    for (size_t y = 0; y < 2; ++y) {
+      ++by_class[y].rows;
+      by_class[y].a_nnz += a.row_nnz(i);
+      ++(use_hash ? by_class[y].rows_hash : by_class[y].rows_spa);
+    }
+  }
+}
+
 // ---- SpgemmPlan internals -------------------------------------------------
 
 /// Pattern-extraction pass of the plan build: per row, mark the output
@@ -533,6 +680,60 @@ CsrMatrix spgemm_parallel(const CsrMatrix& a, const CsrMatrix& b,
   return c;
 }
 
+CsrMatrix spgemm_parallel_two_class(const CsrMatrix& a, ThreadPool& pool,
+                                    std::span<const uint8_t> row_mask,
+                                    SpgemmClassCounters* counters,
+                                    const SpgemmParallelOptions& options) {
+  NBWP_REQUIRE(a.rows() == a.cols(), "spgemm shape mismatch");
+  NBWP_REQUIRE(row_mask.size() == a.rows(), "mask size mismatch");
+  obs::Span span("kernel.spgemm.two_class");
+  const Index n = a.rows();
+  std::vector<uint64_t> load = load_vector(a, row_nnz_vector(a));
+  const auto prefix = prefix_sums(load);
+  std::vector<uint64_t> row_nnz(std::move(load));  // reuse as symbolic output
+  const AccumRouter router = AccumRouter::make(options, a.cols());
+  std::vector<Index> row_span(router.needs_span() ? n : 0);
+  Index* span_data = row_span.empty() ? nullptr : row_span.data();
+  const size_t hint = workspace_hint(a.cols(), options.accumulator);
+  std::atomic<size_t> arena_high_water{0};
+
+  {
+    obs::Span symbolic("kernel.spgemm.two_class.symbolic");
+    const auto keep_all = [](Index) { return true; };
+    dispatch_rows(pool, 0, n, prefix, options, hint, &arena_high_water,
+                  [&](unsigned, Index lo, Index hi, SpgemmWorkspace& ws) {
+                    symbolic_rows(a, a, keep_all, lo, hi, ws, router,
+                                  row_nnz.data(), span_data);
+                  });
+  }
+
+  std::vector<uint64_t> row_ptr(static_cast<size_t>(n) + 1, 0);
+  for (Index i = 0; i < n; ++i) row_ptr[i + 1] = row_ptr[i] + row_nnz[i];
+  std::vector<Index> col_idx(row_ptr.back());
+  std::vector<double> values(row_ptr.back());
+
+  std::vector<SpgemmClassCounters> part(pool.size());
+  {
+    obs::Span numeric("kernel.spgemm.two_class.numeric");
+    dispatch_rows(pool, 0, n, prefix, options, hint, &arena_high_water,
+                  [&](unsigned w, Index lo, Index hi, SpgemmWorkspace& ws) {
+                    numeric_two_class_rows(a, row_mask, lo, hi, ws, router,
+                                           row_ptr, span_data, col_idx.data(),
+                                           values.data(), part[w]);
+                  });
+  }
+
+  obs::set_gauge("kernel.spgemm.arena.high_water_bytes",
+                 static_cast<double>(
+                     arena_high_water.load(std::memory_order_relaxed)));
+  SpgemmClassCounters by_class;
+  for (const auto& pc : part) by_class += pc;
+  if (counters) *counters += by_class;
+  emit_kernel_counters(product_totals(by_class, row_ptr.back()));
+  return CsrMatrix::from_parts(n, a.cols(), std::move(row_ptr),
+                               std::move(col_idx), std::move(values));
+}
+
 CsrMatrix spgemm_row_range_masked(const CsrMatrix& a, const CsrMatrix& b,
                                   Index first, Index last,
                                   std::span<const uint8_t> b_row_mask,
@@ -571,28 +772,15 @@ CsrMatrix sp_add(const CsrMatrix& a, const CsrMatrix& b) {
   std::vector<Index> cols;
   std::vector<double> vals;
   for (Index r = 0; r < a.rows(); ++r) {
-    cols.clear();
-    vals.clear();
-    const auto ac = a.row_cols(r), bc = b.row_cols(r);
-    const auto av = a.row_vals(r), bv = b.row_vals(r);
-    size_t i = 0, j = 0;
-    while (i < ac.size() || j < bc.size()) {
-      if (j >= bc.size() || (i < ac.size() && ac[i] < bc[j])) {
-        cols.push_back(ac[i]);
-        vals.push_back(av[i]);
-        ++i;
-      } else if (i >= ac.size() || bc[j] < ac[i]) {
-        cols.push_back(bc[j]);
-        vals.push_back(bv[j]);
-        ++j;
-      } else {
-        cols.push_back(ac[i]);
-        vals.push_back(av[i] + bv[j]);
-        ++i;
-        ++j;
-      }
+    const size_t most = a.row_nnz(r) + b.row_nnz(r);
+    if (cols.size() < most) {
+      cols.resize(most);
+      vals.resize(most);
     }
-    builder.append_sorted_row(cols, vals);
+    const size_t got =
+        merge_sorted_rows(a.row_cols(r), a.row_vals(r), b.row_cols(r),
+                          b.row_vals(r), cols.data(), vals.data());
+    builder.append_sorted_row({cols.data(), got}, {vals.data(), got});
   }
   return builder.finish();
 }
@@ -761,6 +949,8 @@ void spgemm_workspace_reset_high_water() {
     ws.spa = Spa{};
     ws.hash = HashAccum{};
     ws.bitmap = PatternBitmap{};
+    ws.spa1 = Spa{};
+    ws.hash1 = HashAccum{};
     ws.arena.reset();
     ws.arena.reset_high_water();
   });

@@ -127,6 +127,37 @@ CsrMatrix spgemm_parallel_ranges(const CsrMatrix& a, const CsrMatrix& b,
                                  std::span<SpgemmCounters> range_counters,
                                  const SpgemmParallelOptions& options = {});
 
+/// Counters of a two-class product, by (row class of i, row class of k):
+/// by[x][y] covers the rows i of A with class x and, of their entries
+/// a_ik, those whose row k has class y.  Both by[x][0] and by[x][1] count
+/// each class-x row in `rows`, `a_nnz` and its accumulator route, as the
+/// two masked products of those rows did; `c_nnz` counts the entries of
+/// the class's own partial row.
+struct SpgemmClassCounters {
+  SpgemmCounters by[2][2];
+
+  SpgemmClassCounters& operator+=(const SpgemmClassCounters& o) {
+    for (size_t x = 0; x < 2; ++x)
+      for (size_t y = 0; y < 2; ++y) by[x][y] += o.by[x][y];
+    return *this;
+  }
+};
+
+/// C = A x A (A square) in one work-balanced pass with every output entry
+/// summed per row class (class 1 where row_mask[k] != 0, else class 0).
+/// The products a_ik * (row k) of each class accumulate on their own, in
+/// A's row order, and meet once at extraction: a column both classes hold
+/// becomes `own + other`, where `own` is the sum of the class of row i
+/// itself, and a lone class's sum is kept as is.  That is bitwise what the
+/// HH-CPU four-product path computed — A_x * A_x plus A_x * A_other added
+/// by sp_add — with no partial product, row extraction or scatter.  One
+/// unmasked symbolic pass sizes the single output.  Per-class counters are
+/// added to `counters`.
+CsrMatrix spgemm_parallel_two_class(const CsrMatrix& a, ThreadPool& pool,
+                                    std::span<const uint8_t> row_mask,
+                                    SpgemmClassCounters* counters = nullptr,
+                                    const SpgemmParallelOptions& options = {});
+
 /// Row-range product using only the rows k of B for which
 /// b_row_mask[k] == keep; the HH-CPU algorithm's A_x × B_H / A_x × B_L
 /// partial products (B_H and B_L are row subsets of B).

@@ -68,8 +68,8 @@ INSTANTIATE_TEST_SUITE_P(
                       IdentifyMethod::kRaceThenFine,
                       IdentifyMethod::kGradientDescent,
                       IdentifyMethod::kGoldenSection),
-    [](const auto& info) {
-      switch (info.param) {
+    [](const auto& param_info) {
+      switch (param_info.param) {
         case IdentifyMethod::kCoarseToFine: return "CoarseToFine";
         case IdentifyMethod::kRaceThenFine: return "RaceThenFine";
         case IdentifyMethod::kGradientDescent: return "GradientDescent";

@@ -69,8 +69,8 @@ INSTANTIATE_TEST_SUITE_P(Specs, DatasetGenTest,
                          ::testing::Values("cant", "qcd5_4", "delaunay_n22",
                                            "web-BerkStan",
                                            "netherlands_osm"),
-                         [](const auto& info) {
-                           std::string s = info.param;
+                         [](const auto& param_info) {
+                           std::string s = param_info.param;
                            for (char& ch : s)
                              if (ch == '-') ch = '_';
                            return s;

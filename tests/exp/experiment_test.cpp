@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "exp/report.hpp"
+#include "hetalg/hetero_spmv.hpp"
 
 namespace nbwp::exp {
 namespace {
@@ -89,6 +90,26 @@ TEST(Experiment, SensitivityReturnsRequestedFactors) {
   EXPECT_LT(points[0].estimation_cost_ns, points[2].estimation_cost_ns);
   for (const auto& p : points)
     EXPECT_DOUBLE_EQ(p.total_ns, p.estimation_cost_ns + p.run_ns);
+}
+
+TEST(Experiment, SensitivityServesSpmv) {
+  // The n/4-style submatrix sample reports its row count, so the study
+  // runs on spmv like on the other registered workloads.
+  SuiteOptions options;
+  options.scale = 0.05;
+  const auto spec = datasets::spec_by_name("cant");
+  const auto points = run_sensitivity(hetsim::Platform::reference(),
+                                      Workload::kSpmv, spec,
+                                      {0.125, 0.25, 0.5}, options);
+  ASSERT_EQ(points.size(), 3u);
+  const hetalg::HeteroSpmv problem(load_matrix(spec, options),
+                                   hetsim::Platform::reference());
+  for (const auto& p : points) {
+    EXPECT_EQ(p.sample_size, problem.sample_size(p.factor));
+    EXPECT_GT(p.estimation_cost_ns, 0.0);
+    EXPECT_DOUBLE_EQ(p.total_ns, p.estimation_cost_ns + p.run_ns);
+  }
+  EXPECT_LT(points[0].sample_size, points[2].sample_size);
 }
 
 TEST(Experiment, RandomnessStudyHasRandomAndCorners) {

@@ -92,7 +92,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CcCase{"planar", make_planar},
                       CcCase{"pieces", make_pieces},
                       CcCase{"no_edges", make_empty_edges}),
-    [](const auto& info) { return info.param.name; });
+    [](const auto& param_info) { return param_info.param.name; });
 
 TEST(CcAdaptive, DeterministicMinLabelsAcrossTeamSizes) {
   // On the skip-phase path the component label is the component's minimum

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hetalg/hh_frozen_path.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/spgemm.hpp"
 
@@ -30,8 +31,12 @@ TEST_P(HeteroHhCutoffTest, ProductCorrectAtEveryCutoff) {
   const CsrMatrix a = scale_free_matrix();
   const CsrMatrix expected = sparse::spgemm(a, a);
   const HeteroSpmmHh problem(a, plat());
-  const auto report = problem.run(GetParam());
+  CsrMatrix c;
+  const auto report = problem.run(GetParam(), &c);
   EXPECT_EQ(report.counter("c_nnz"), static_cast<double>(expected.nnz()));
+  // Values too: bit for bit the frozen four-product Phase I-IV path.
+  EXPECT_TRUE(frozen::bitwise_equal(
+      c, frozen::frozen_hh_product(a, GetParam(), ThreadPool::global())));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cutoffs, HeteroHhCutoffTest,

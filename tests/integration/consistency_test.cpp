@@ -71,8 +71,8 @@ TEST_P(FamilyConsistencyTest, HhRunEqualsProfileOnScaleFree) {
 
 INSTANTIATE_TEST_SUITE_P(Families, FamilyConsistencyTest,
                          ::testing::ValuesIn(kFamilyReps),
-                         [](const auto& info) {
-                           std::string s = info.param;
+                         [](const auto& param_info) {
+                           std::string s = param_info.param;
                            for (char& ch : s)
                              if (ch == '-') ch = '_';
                            return s;

@@ -7,6 +7,8 @@
 #include "core/sampling_partitioner.hpp"
 #include "datasets/table2.hpp"
 #include "hetalg/hetero_cc.hpp"
+#include "hetalg/hetero_spmm_hh.hpp"
+#include "sparse/generators.hpp"
 #include "obs/obs.hpp"
 
 namespace nbwp {
@@ -71,6 +73,31 @@ TEST_F(PipelineMetricsFixture, EstimateEmitsDocumentedMetrics) {
   }
   EXPECT_TRUE(saw_estimate);
   EXPECT_TRUE(saw_identify);
+}
+
+TEST_F(PipelineMetricsFixture, HhRunEmitsEachExecuteSpanOnce) {
+  // One HH execute: classify, the two fault gates, then the one-pass
+  // kernel's symbolic and numeric passes, each exactly once.
+  Rng rng(5);
+  const hetalg::HeteroSpmmHh problem(sparse::scale_free(2000, 10, 2.2, rng),
+                                     hetsim::Platform::reference());
+  const double t = problem.threshold_for_work_share(0.5);
+  ASSERT_GT(problem.structure_at(t).rows_h, 0u);
+  ASSERT_GT(problem.structure_at(t).rows_l, 0u);
+  (void)problem.run(t);
+
+  const auto snap = obs::Registry::global().snapshot();
+  for (const char* name :
+       {"span.hetalg.hh.classify", "span.hetalg.hh.gates",
+        "span.kernel.spgemm.two_class",
+        "span.kernel.spgemm.two_class.symbolic",
+        "span.kernel.spgemm.two_class.numeric"}) {
+    ASSERT_EQ(snap.histograms.count(name), 1u) << name;
+    EXPECT_EQ(snap.histograms.at(name).count, 1u) << name;
+  }
+  // No four-product glue is left on the execute path.
+  EXPECT_EQ(snap.histograms.count("span.kernel.spgemm.masked.parallel"), 0u);
+  EXPECT_EQ(snap.histograms.count("span.kernel.spgemm.masked"), 0u);
 }
 
 TEST_F(PipelineMetricsFixture, DisabledPipelineRecordsNothing) {

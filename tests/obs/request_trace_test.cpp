@@ -80,7 +80,8 @@ TEST_F(RequestTraceFixture, ScopesNest) {
 }
 
 TEST_F(RequestTraceFixture, RingOverwritesOldestAndCountsDrops) {
-  obs::FlightRecorder::global().configure({.capacity = 4});
+  obs::FlightRecorder::global().configure(
+      {.capacity = 4, .latency_threshold_ms = 0, .dump_path = {}});
   for (int i = 0; i < 10; ++i) {
     obs::TraceContext context("req:" + std::to_string(i));
     context.finish();
@@ -99,7 +100,7 @@ TEST_F(RequestTraceFixture, RingOverwritesOldestAndCountsDrops) {
 
 TEST_F(RequestTraceFixture, BreachAndFaultAreFlagged) {
   obs::FlightRecorder::global().configure(
-      {.capacity = 8, .latency_threshold_ms = 1e-9});
+      {.capacity = 8, .latency_threshold_ms = 1e-9, .dump_path = {}});
   {
     obs::TraceContext context("req:slow");
     context.finish();  // any nonzero duration breaches a 1e-9 ms bound

@@ -37,8 +37,8 @@ TEST_P(ParallelForTest, NonZeroBegin) {
 INSTANTIATE_TEST_SUITE_P(Schedules, ParallelForTest,
                          ::testing::Values(Schedule::kStatic,
                                            Schedule::kDynamic),
-                         [](const auto& info) {
-                           return info.param == Schedule::kStatic
+                         [](const auto& param_info) {
+                           return param_info.param == Schedule::kStatic
                                       ? "Static"
                                       : "Dynamic";
                          });
@@ -125,8 +125,8 @@ TEST_P(ParallelForChunksTest, EmptyRangeRunsNothing) {
 INSTANTIATE_TEST_SUITE_P(Schedules, ParallelForChunksTest,
                          ::testing::Values(Schedule::kStatic,
                                            Schedule::kDynamic),
-                         [](const auto& info) {
-                           return info.param == Schedule::kStatic
+                         [](const auto& param_info) {
+                           return param_info.param == Schedule::kStatic
                                       ? "Static"
                                       : "Dynamic";
                          });

@@ -46,7 +46,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair<std::string, int>{"uniform", 1},
                       std::pair<std::string, int>{"skewed", 2},
                       std::pair<std::string, int>{"nearly_sorted", 3}),
-    [](const auto& info) { return info.param.first; });
+    [](const auto& param_info) { return param_info.param.first; });
 
 TEST(CpuChunkedSort, EdgeCases) {
   ThreadPool pool(2);

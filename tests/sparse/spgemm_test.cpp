@@ -174,8 +174,8 @@ INSTANTIATE_TEST_SUITE_P(
     Schedules, SpgemmScheduleTest,
     ::testing::Values(SpgemmSchedule::kAuto, SpgemmSchedule::kWorkBalanced,
                       SpgemmSchedule::kDynamic),
-    [](const auto& info) {
-      switch (info.param) {
+    [](const auto& param_info) {
+      switch (param_info.param) {
         case SpgemmSchedule::kAuto: return "Auto";
         case SpgemmSchedule::kWorkBalanced: return "WorkBalanced";
         default: return "Dynamic";
